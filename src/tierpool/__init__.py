@@ -2,8 +2,7 @@
 migration, clock replacement, optimistic page reads, and a fixed-page B+tree.
 """
 
-from .backend import (DISK, BackendStats, Placement, TierBackend, TierSpec,
-                      TierTopology, reserve)
+from .backend import DISK, Placement, TierBackend, TierSpec, TierTopology
 from .btree import BTree
 from .cost_model import CostModel
 from .errors import ConfigError, IllegalState, PoolTimeout, TierFull
@@ -12,7 +11,6 @@ from .migration import (ERR_ACCESS, ERR_BUSY, ERR_INVALID_TARGET, ERR_SKIPPED,
                         MigrationEngine, MigrationMode, MigrationOutcome,
                         MigrationRequest)
 from .pool import (DRAM, BufferPool, MigrationPolicy, PageHandle, PoolStats)
-from .resident_set import ResidentSet
 from .state_word import (EVICTED, LOCKED, MARKED, SHARED_MAX, SHARED_MIN,
                          UNLOCKED, Edge, EdgeKind, StateLayout, StateTable,
                          describe_lock, transition)
@@ -21,13 +19,13 @@ from .stats import StatsRegistry
 __version__ = "0.1.0"
 
 __all__ = [
-    "BTree", "BackendStats", "BufferPool", "ConfigError", "CostModel",
+    "BTree", "BufferPool", "ConfigError", "CostModel",
     "DISK", "DRAM", "ERR_ACCESS", "ERR_BUSY", "ERR_INVALID_TARGET",
     "ERR_SKIPPED", "ERR_TIER_FULL", "EVICTED", "Edge", "EdgeKind",
     "FailureInjector", "IllegalState", "InjectRule", "LOCKED", "MARKED",
     "MigrationEngine", "MigrationMode", "MigrationOutcome", "MigrationPolicy",
     "MigrationRequest", "PageHandle", "Placement", "PoolStats", "PoolTimeout",
-    "ResidentSet", "SHARED_MAX", "SHARED_MIN", "StateLayout", "StateTable",
+    "SHARED_MAX", "SHARED_MIN", "StateLayout", "StateTable",
     "StatsRegistry", "TierBackend", "TierFull", "TierSpec", "TierTopology",
-    "UNLOCKED", "describe_lock", "reserve", "transition",
+    "UNLOCKED", "describe_lock", "transition",
 ]

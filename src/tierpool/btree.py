@@ -232,18 +232,25 @@ class BTree:
         if len(value) > VAL_MAX:
             raise ConfigError(f"value length {len(value)} exceeds {VAL_MAX}")
         h = self.pool.fix(self.root_pid, exclusive=True)
-        if self._node_full(h.data) and not self._overwrite_hit(h.data, key):
-            self._split_root(h)
-        while int(h.data[0]) == INNER:
-            child_pid = self._route(h.data, key)
-            ch = self.pool.fix(child_pid, exclusive=True)
-            if self._node_full(ch.data) and not self._overwrite_hit(ch.data, key):
-                self._split_child(h, ch, child_pid)
-                continue  # re-route from the (still locked) parent
+        ch = None
+        try:
+            if self._node_full(h.data) and not self._overwrite_hit(h.data, key):
+                self._split_root(h)
+            while int(h.data[0]) == INNER:
+                child_pid = self._route(h.data, key)
+                ch = self.pool.fix(child_pid, exclusive=True)
+                if self._node_full(ch.data) and not self._overwrite_hit(ch.data, key):
+                    self._split_child(h, ch, child_pid)
+                    ch = None
+                    continue  # re-route from the (still locked) parent
+                self.pool.unfix(h)
+                h, ch = ch, None
+            self._leaf_insert(h, key, value)
+        finally:
+            # A split that runs out of page slots raises with both held.
+            if ch is not None:
+                self.pool.unfix(ch)
             self.pool.unfix(h)
-            h = ch
-        self._leaf_insert(h, key, value)
-        self.pool.unfix(h)
 
     def _overwrite_hit(self, view, key: bytes) -> bool:
         """True for a full leaf that already holds `key`: overwrites go in
@@ -342,18 +349,16 @@ class BTree:
         itself becomes a two-child inner node, so its PID never changes."""
         left_pid = self._alloc_pid()
         right_pid = self._alloc_pid()
-        hl = self.pool.fix(left_pid, exclusive=True)
-        hr = self.pool.fix(right_pid, exclusive=True)
-        root = hroot.data
-        hl.data[:] = root
-        sep = self._split_node(hl.data, hr.data, right_pid)
-        self._format_inner(root, leftmost=left_pid)
-        self._inner_insert(root, sep, right_pid)
-        hroot.mark_dirty()
-        hl.mark_dirty()
-        hr.mark_dirty()
-        self.pool.unfix(hr)
-        self.pool.unfix(hl)
+        with self.pool.fix(left_pid, exclusive=True) as hl, \
+                self.pool.fix(right_pid, exclusive=True) as hr:
+            root = hroot.data
+            hl.data[:] = root
+            sep = self._split_node(hl.data, hr.data, right_pid)
+            self._format_inner(root, leftmost=left_pid)
+            self._inner_insert(root, sep, right_pid)
+            hroot.mark_dirty()
+            hl.mark_dirty()
+            hr.mark_dirty()
 
     # -- scan ------------------------------------------------------------
 

@@ -45,6 +45,3 @@ class CostModel:
 
     def charge_shootdown(self) -> None:
         self.charge(self.shootdown_ns)
-
-
-OFF = CostModel(enabled=False)

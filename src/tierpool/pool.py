@@ -4,7 +4,9 @@ probabilistic tier policy, and batched demotion/promotion.
 Concurrency design, in one place:
 
 * Page safety is the state-word CAS protocol; there is no per-page mutex.
-* Each tier's ResidentSet has its own short-lived internal lock.
+* Each tier's frame pool (backend.pools) records which page sits in which
+  frame and drives that tier's clock; it has its own short-lived internal
+  lock, which the clock's `visit` callbacks run under.
 * One pool-wide reentrant migration lock serializes evict_batch and
   promote_batch.  Holders of that lock only ever *try* CAS edges on pages
   (never spin on them), so a thread stuck waiting for a page lock can never
@@ -27,7 +29,6 @@ from .backend import DISK, TierBackend, TierTopology
 from .cost_model import CostModel
 from .errors import ConfigError, IllegalState, PoolTimeout, TierFull
 from .migration import (MigrationEngine, MigrationMode, MigrationRequest)
-from .resident_set import ResidentSet
 from .state_word import Edge, StateLayout, StateTable
 from .stats import StatsRegistry
 
@@ -145,7 +146,8 @@ class BufferPool:
                                    disk_path=disk_path, registry=self.registry)
         self.engine = MigrationEngine(self.backend, registry=self.registry)
         self.state = StateTable(topology.slots, self.layout, trace=trace)
-        self.resident = [ResidentSet(t.capacity_pages) for t in topology.memory_tiers]
+        # Residency and the clock live in the backend's frame pools.
+        self.resident = self.backend.pools
         self.dirty = np.zeros(topology.slots, dtype=bool)
         self.seed = seed
         self.fix_timeout_s = fix_timeout_s
@@ -269,7 +271,6 @@ class BufferPool:
             a, _, _ = self.state.try_edge(pid, Edge.evict())
             assert a
             raise
-        self.resident[target].insert(pid)
         if not exclusive:
             # Downgrade: release exclusive, then take shared (racy but safe).
             a, _, _ = self.state.try_edge(pid, Edge.unlock_exclusive(False))
@@ -371,7 +372,7 @@ class BufferPool:
                 return 0
             if dst == DISK:
                 return self._evict_to_disk(src_tier, taken, rng)
-            return self._demote(src_tier, taken, dst, rng)
+            return self._demote(taken, dst, rng)
 
     def _evict_to_disk(self, src_tier: int, taken: list[int],
                        rng: random.Random) -> int:
@@ -388,14 +389,13 @@ class BufferPool:
                 self.dirty[pid] = False
             else:
                 self.backend.release_frame(pid)
-            self.resident[src_tier].remove(pid)
             a, _, _ = self.state.try_edge(pid, Edge.evict())
             assert a
             self.registry.bump("evicted_to_disk")
             moved += 1
         return moved
 
-    def _demote(self, src_tier: int, taken: list[int], dst: int,
+    def _demote(self, taken: list[int], dst: int,
                 rng: random.Random) -> int:
         # Make room at the destination first; otherwise a full next tier
         # turns every demotion into a TierFull no-op and nothing drains.
@@ -404,8 +404,6 @@ class BufferPool:
         moved = 0
         for pid, code in zip(taken, codes):
             if code >= 0:
-                self.resident[src_tier].remove(pid)
-                self.resident[dst].insert(pid)
                 a, _, _ = self.state.try_edge(pid, Edge.set_tier(dst))
                 assert a
                 self.registry.bump("demoted_pages")
@@ -509,8 +507,6 @@ class BufferPool:
             moved = 0
             for pid, code in zip(locked, codes):
                 if code >= 0:
-                    self.resident[src_tier].remove(pid)
-                    self.resident[DRAM].insert(pid)
                     a, _, _ = self.state.try_edge(pid, Edge.set_tier(DRAM))
                     assert a
                     self.registry.bump("promoted_pages")
@@ -555,8 +551,7 @@ class BufferPool:
         evicted = 0
         with self._mig_lock:
             for tier in range(self.topology.n_memory_tiers):
-                rset = self.resident[tier]
-                for pid in rset.snapshot():
+                for pid in self.resident[tier].snapshot():
                     if not self._lock_blocking(pid, deadline):
                         continue
                     if self.dirty[pid]:
@@ -564,7 +559,6 @@ class BufferPool:
                         self.dirty[pid] = False
                     else:
                         self.backend.release_frame(pid)
-                    rset.remove(pid)
                     a, _, _ = self.state.try_edge(pid, Edge.evict())
                     assert a
                     self.registry.bump("evicted_to_disk")

@@ -2,7 +2,9 @@
 
 import random
 
-from tierpool.backend import TierSpec, TierTopology
+import numpy as np
+
+from tierpool.backend import Placement, TierSpec, TierTopology
 from tierpool.pool import BufferPool, MigrationPolicy
 
 
@@ -26,27 +28,41 @@ def make_pool(local: int, remote: int = 0, disk: int = 1 << 14,
 
 
 def assert_coherent(pool, scan_all: bool = True) -> None:
-    """Quiescent-state invariants: residency, placement, and frame math agree.
+    """Quiescent-state invariants: frame owners, placement, state words and
+    frame math agree.
 
     Only valid while no thread holds a page or is mid-fault.
     """
     import tierpool.state_word as sw
 
+    backend = pool.backend
     seen = {}
     for t in range(pool.topology.n_memory_tiers):
-        snap = pool.resident[t].snapshot()
-        for pid in snap:
-            assert pid not in seen, f"page {pid} in two resident sets"
+        fp = backend.pools[t]
+        for frame, pid in enumerate(fp.owner):
+            if pid < 0:
+                continue
+            assert pid not in seen, f"page {pid} owns two frames"
             seen[pid] = t
-        occ = pool.backend.occupancy(t)
-        assert occ == len(snap), f"tier {t}: {occ} frames vs {len(snap)} resident"
-        assert pool.backend.free_frames(t) + occ == \
+            assert backend.placement_of(pid) == Placement(t, frame), \
+                f"page {pid} owns frame {frame} of tier {t} but is placed " \
+                f"at {backend.placement_of(pid)}"
+        assert all(fp.owner[f] == -1 for f in fp._free), \
+            f"tier {t}: a free frame has an owner"
+        occ = backend.occupancy(t)
+        snap = fp.snapshot()
+        assert occ == len(snap) == len(fp), \
+            f"tier {t}: {occ} frames vs {len(snap)} owned"
+        assert backend.free_frames(t) + occ == \
             pool.topology.memory_tiers[t].capacity_pages
+    for pid in np.flatnonzero(backend.place >= 0).tolist():
+        place = backend.placement_of(pid)
+        assert backend.pools[place.tier].owner[place.frame] == pid, \
+            f"page {pid} is placed at {place} but that frame has another owner"
     for pid, t in seen.items():
         lock, tier, _ = pool.page_state(pid)
         assert lock != sw.EVICTED, f"resident page {pid} has an evicted word"
-        assert tier == t, f"page {pid}: word tier {tier}, resident set {t}"
-        assert pool.backend.placement_of(pid).tier == t
+        assert tier == t, f"page {pid}: word tier {tier}, frame tier {t}"
     if scan_all:
         for pid in range(pool.topology.slots):
             if pid in seen:
@@ -54,7 +70,7 @@ def assert_coherent(pool, scan_all: bool = True) -> None:
             lock, _, _ = pool.page_state(pid)
             assert lock == sw.EVICTED, \
                 f"non-resident page {pid} is {sw.describe_lock(lock)}"
-            assert pool.backend.placement_of(pid).on_disk
+            assert backend.placement_of(pid).on_disk
             assert not pool.is_dirty(pid), f"evicted page {pid} still dirty"
 
 

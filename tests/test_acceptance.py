@@ -18,7 +18,7 @@ from conftest import assert_coherent, make_pool, topo
 from test_migration import closed_form, make_world, ref_scan
 from test_state_word import all_edges, oracle
 from tierpool import bench
-from tierpool.backend import DISK, reserve
+from tierpool.backend import DISK
 from tierpool.btree import BTree
 from tierpool.migration import (ERR_BUSY, ERR_SKIPPED, FailureInjector,
                                 InjectRule, MigrationEngine, MigrationMode,

@@ -9,6 +9,7 @@ from conftest import make_pool
 from tierpool.btree import KEY_MAX, VAL_MAX, BTree
 from tierpool.errors import ConfigError
 from tierpool.pool import MigrationPolicy
+from tierpool.state_word import LOCKED, SHARED_MAX, SHARED_MIN
 
 
 def big_pool(**kw):
@@ -162,6 +163,23 @@ def test_allocator_exhaustion_is_config_error():
     with pytest.raises(ConfigError):
         for i in range(200):
             t.insert(keyf(i), b"v")
+
+
+def test_insert_out_of_slots_releases_its_locks():
+    """A split that runs out of page slots must not leave the parent and
+    child it holds locked: later operations would time out on them."""
+    pool = make_pool(64, disk=8, fix_timeout_s=1.0)
+    t = BTree(pool)
+    inserted = []
+    with pytest.raises(ConfigError, match="ran out of page slots"):
+        for i in range(10_000):
+            t.insert(keyf(i), b"v%d" % i)
+            inserted.append(i)
+    locks = [pool.page_state(pid)[0] for pid in range(pool.topology.slots)]
+    held = [pid for pid, b in enumerate(locks)
+            if b == LOCKED or SHARED_MIN <= b <= SHARED_MAX]
+    assert held == []
+    assert t.lookup(keyf(inserted[-1])) == b"v%d" % inserted[-1]
 
 
 def test_concurrent_disjoint_inserts():

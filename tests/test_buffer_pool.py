@@ -303,8 +303,6 @@ def test_optimistic_read_detects_frame_move():
         if len(calls) == 1:
             # racing migration: clean copy to the remote tier mid-read
             pool.backend.retarget_frame(0, 1)
-            pool.resident[0].remove(0)
-            pool.resident[1].insert(0)
             a, _, _ = pool.state.try_edge(0, sw.Edge.lock_exclusive())
             assert a
             pool.state.try_edge(0, sw.Edge.set_tier(1))

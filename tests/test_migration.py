@@ -12,7 +12,7 @@ import random
 import pytest
 
 from conftest import topo
-from tierpool.backend import DISK, reserve
+from tierpool.backend import DISK, TierBackend
 from tierpool.errors import ConfigError
 from tierpool.migration import (ERR_ACCESS, ERR_BUSY, ERR_INVALID_TARGET,
                                 ERR_SKIPPED, ERR_TIER_FULL, FailureInjector,
@@ -161,7 +161,7 @@ def closed_form(pages, targets, qerr_flags, cap, n_tiers):
 def make_world(seed=0, tiers=(8, 8, 8), disk=64, n_resident=24):
     """Backend with pids 0..n_resident-1 bound round-robin over tiers."""
     disk = max(disk, 2 * n_resident + 16)
-    be = reserve(topo(tiers[0], 0, disk) if len(tiers) == 1 else _multi(tiers, disk))
+    be = TierBackend(topo(tiers[0], 0, disk) if len(tiers) == 1 else _multi(tiers, disk))
     placement = {}
     for pid in range(n_resident):
         for off in range(len(tiers)):

@@ -1,10 +1,14 @@
-"""Frame arenas, the simulated disk, and page placement plumbing."""
+"""Frame arenas, the simulated disk, page placement plumbing, and each
+frame pool's owner array and clock sweep."""
+
+import random
 
 import numpy as np
 import pytest
 
 from conftest import topo
-from tierpool.backend import DISK, ON_DISK, TierBackend, TierSpec, TierTopology, reserve
+from tierpool.backend import (DISK, ON_DISK, FramePool, Placement, TierBackend,
+                              TierSpec, TierTopology)
 from tierpool.cost_model import CostModel
 from tierpool.errors import ConfigError, IllegalState, TierFull
 
@@ -23,7 +27,7 @@ def test_topology_validation():
 
 
 def test_bind_read_write_round_trip(tmp_path):
-    be = reserve(topo(4, disk=32, page_size=512))
+    be = TierBackend(topo(4, disk=32, page_size=512))
     p = be.bind_and_read(5, 0)
     assert p.tier == 0 and not p.on_disk
     view = be.page_view(5)
@@ -39,14 +43,14 @@ def test_bind_read_write_round_trip(tmp_path):
 
 
 def test_bind_refuses_double_residency():
-    be = reserve(topo(4, disk=32))
+    be = TierBackend(topo(4, disk=32))
     be.bind_and_read(1, 0)
     with pytest.raises(IllegalState):
         be.bind_and_read(1, 0)
 
 
 def test_tier_full():
-    be = reserve(topo(2, disk=32))
+    be = TierBackend(topo(2, disk=32))
     be.bind_and_read(0, 0)
     be.bind_and_read(1, 0)
     with pytest.raises(TierFull):
@@ -57,7 +61,7 @@ def test_tier_full():
 
 
 def test_release_discards_without_write():
-    be = reserve(topo(2, disk=32, page_size=512))
+    be = TierBackend(topo(2, disk=32, page_size=512))
     be.bind_and_read(7, 0)
     be.page_view(7)[:] = 0xAB
     be.release_frame(7)
@@ -66,12 +70,12 @@ def test_release_discards_without_write():
 
 
 def test_flush_page_keeps_residency():
-    be = reserve(topo(2, disk=32, page_size=512))
+    be = TierBackend(topo(2, disk=32, page_size=512))
     be.bind_and_read(3, 0)
     be.page_view(3)[:8] = 9
     be.flush_page(3)
     assert be.placement_of(3).tier == 0
-    assert be.counters().disk_writes == 1
+    assert be.registry.total()["disk_writes"] == 1
     # a later clean drop must still find the flushed bytes
     be.release_frame(3)
     be.bind_and_read(3, 0)
@@ -79,7 +83,7 @@ def test_flush_page_keeps_residency():
 
 
 def test_retarget_moves_bytes_and_frees_source():
-    be = reserve(topo(2, 2, disk=32, page_size=512))
+    be = TierBackend(topo(2, 2, disk=32, page_size=512))
     be.bind_and_read(4, 0)
     be.page_view(4)[:] = 0x5C
     before = be.read_token(4)
@@ -95,7 +99,7 @@ def test_retarget_moves_bytes_and_frees_source():
 
 def test_read_token_detects_frame_recycling():
     """Generation bump: same frame re-issued to another page yields a new token."""
-    be = reserve(topo(1, disk=32))
+    be = TierBackend(topo(1, disk=32))
     be.bind_and_read(0, 0)
     tok0 = be.read_token(0)
     be.release_frame(0)
@@ -108,21 +112,20 @@ def test_read_token_detects_frame_recycling():
 
 def test_counters_and_latency_accounting():
     cm = CostModel(enabled=True, sleep_threshold_ns=10**12)  # spin only
-    be = reserve(topo(4, disk=32, page_size=512,
+    be = TierBackend(topo(4, disk=32, page_size=512,
                       disk_read_ns=2000, disk_write_ns=3000), cost_model=cm)
     be.bind_and_read(0, 0)
     be.bind_and_read(1, 0)
     be.page_view(1)[:] = 1
     be.write_back(1)
-    c = be.counters()
-    assert c.disk_reads == 2 and c.disk_writes == 1
     t = be.registry.total()
+    assert t["disk_reads"] == 2 and t["disk_writes"] == 1
     assert t["t_disk_ns"] >= 2 * 2000 + 3000
 
 
 def test_memmap_disk_persists(tmp_path):
     path = str(tmp_path / "disk.img")
-    be = reserve(topo(2, disk=16, page_size=512), disk_path=path)
+    be = TierBackend(topo(2, disk=16, page_size=512), disk_path=path)
     be.bind_and_read(11, 0)
     be.page_view(11)[:3] = [7, 8, 9]
     be.write_back(11)
@@ -132,9 +135,105 @@ def test_memmap_disk_persists(tmp_path):
 
 
 def test_utilization_math():
-    be = reserve(topo(4, disk=32))
+    be = TierBackend(topo(4, disk=32))
     assert be.utilization(0) == 0.0
     for pid in range(3):
         be.bind_and_read(pid, 0)
     assert be.utilization(0) == pytest.approx(0.75)
     assert be.free_frames(0) == 1
+
+
+# -- owner array and clock sweep ----------------------------------------
+
+def bound_pool(capacity: int, pids) -> FramePool:
+    fp = FramePool(capacity, 512)
+    for pid in pids:
+        fp.insert(pid)
+    return fp
+
+
+def test_sweep_visits_each_once_per_lap():
+    fp = bound_pool(16, range(10))
+    seen = []
+    taken = fp.sweep(lambda p: seen.append(p) or True, max_take=100)
+    assert sorted(taken) == sorted(seen) == list(range(10))
+
+
+def test_sweep_hand_persists_across_calls():
+    fp = bound_pool(16, range(10))
+    a = fp.sweep(lambda p: True, max_take=4)
+    b = fp.sweep(lambda p: True, max_take=4)
+    assert len(a) == 4 and len(b) == 4
+    assert not set(a) & set(b)  # second call resumes, no overlap inside one lap
+
+
+def test_sweep_respects_visit_veto():
+    fp = bound_pool(16, range(8))
+    wanted = {2, 5}
+    taken = fp.sweep(lambda p: p in wanted, max_take=10)
+    assert sorted(taken) == [2, 5]
+
+
+def test_sweep_stops_after_one_lap_when_starved():
+    fp = bound_pool(16, [1])
+    visits = []
+    assert fp.sweep(lambda p: visits.append(p) or False, max_take=3) == []
+    assert visits == [1]
+
+
+def test_sweep_max_take_zero():
+    fp = bound_pool(8, [1])
+    assert fp.sweep(lambda p: True, max_take=0) == []
+
+
+def test_free_list_is_fifo():
+    fp = bound_pool(4, range(4))
+    fp.remove(2)
+    fp.remove(0)
+    assert fp.insert(7) == 2 and fp.insert(8) == 0
+    assert fp.owner == [8, 1, 7, 3]
+
+
+def test_owner_fuzz_against_dict_model():
+    """Random binds, drops and moves over two tiers keep every frame pool's
+    owner array, its count and the page table equal to a dict model."""
+    be = TierBackend(topo(6, 5, disk=24, page_size=512))
+    model = {}  # pid -> tier
+    rnd = random.Random(5)
+    for _ in range(3000):
+        pid = rnd.randrange(24)
+        op = rnd.random()
+        if pid not in model:
+            t = rnd.randrange(2)
+            if be.free_frames(t):
+                be.bind_and_read(pid, t)
+                model[pid] = t
+            else:
+                with pytest.raises(TierFull):
+                    be.bind_and_read(pid, t)
+        elif op < 0.25:
+            be.release_frame(pid)
+            del model[pid]
+        elif op < 0.5:
+            be.write_back(pid)
+            del model[pid]
+        else:
+            t = rnd.randrange(2)
+            if t == model[pid] or be.free_frames(t):
+                be.retarget_frame(pid, t)
+                model[pid] = t
+            else:
+                with pytest.raises(TierFull):
+                    be.retarget_frame(pid, t)
+        for t, fp in enumerate(be.pools):
+            want = sorted(p for p, mt in model.items() if mt == t)
+            assert sorted(fp.snapshot()) == want
+            assert len(fp) == len(want) == be.occupancy(t)
+            for frame, owner in enumerate(fp.owner):
+                if owner >= 0:
+                    assert be.placement_of(owner) == Placement(t, frame)
+        for p in range(24):
+            place = be.placement_of(p)
+            assert place.on_disk == (p not in model)
+            if not place.on_disk:
+                assert be.pools[place.tier].owner[place.frame] == p
