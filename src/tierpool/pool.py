@@ -13,6 +13,10 @@ Concurrency design, in one place:
   be holding the migration lock that its owner needs.
 * fix() takes no locks besides CAS retries; its fault path may run evictions,
   which acquire the migration lock.
+* The Marked lock byte is the clock's access bit: the clock marks, and any
+  access clears it (an exclusive fix by locking, a shared fix or an
+  optimistic read by the UNMARK edge).  Demoted pages land Marked, so
+  promotion takes only remote pages accessed since.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from .stats import StatsRegistry
 DRAM = 0
 
 _ENGINES = ("mp2", "legacy", "mbind")
+
+_UNMARK = Edge.unmark()
 
 
 @dataclass
@@ -100,6 +106,8 @@ class PoolStats:
     shootdowns: int
     t_disk_ns: int
     t_migration_ns: int
+    optimistic_reads: int
+    optimistic_retries: int
     occupancy: list[int]
 
 
@@ -148,6 +156,7 @@ class BufferPool:
         self.state = StateTable(topology.slots, self.layout, trace=trace)
         # Residency and the clock live in the backend's frame pools.
         self.resident = self.backend.pools
+        self._hit_keys = tuple(f"hits_t{t}" for t in range(topology.n_memory_tiers))
         self.dirty = np.zeros(topology.slots, dtype=bool)
         self.seed = seed
         self.fix_timeout_s = fix_timeout_s
@@ -180,22 +189,19 @@ class BufferPool:
             raise ConfigError(f"pid {pid} out of range")
         rng = rng or self.rng()
         deadline = time.monotonic() + self.fix_timeout_s
-        self.registry.bump("fixes")
-        first = self.state.load(pid)
-        if self.layout.lock_byte(first) == sw.EVICTED:
-            self.registry.bump("faults")
-        else:
-            self.registry.bump(f"hits_t{self.layout.tier(first)}")
         rolled_rr = False
+        found = -1  # the tier a hit counts in, even if the fix promotes it
         spins = 0
         while True:
             word = self.state.load(pid)
             byte = self.layout.lock_byte(word)
             if byte == sw.EVICTED:
                 if self._fault_in(pid, exclusive, rng, deadline):
-                    return PageHandle(self, pid, exclusive)
+                    return self._fixed(pid, exclusive, "faults")
                 continue  # lost the fault race; someone else is reading it in
             tier = self.layout.tier(word)
+            if found < 0:
+                found = tier
             if tier != DRAM and not rolled_rr:
                 # Remote hit: at most one promotion roll per fix call.
                 rolled_rr = True
@@ -207,22 +213,31 @@ class BufferPool:
                     applied, _, _ = self.state.try_edge(pid, Edge.lock_exclusive())
                     if applied:
                         self._charge_access(tier)
-                        return PageHandle(self, pid, True)
+                        return self._fixed(pid, True, self._hit_keys[found])
             else:
                 if byte == sw.UNLOCKED or sw.SHARED_MIN <= byte < sw.SHARED_MAX:
                     applied, _, _ = self.state.try_edge(pid, Edge.lock_shared())
                     if applied:
                         self._charge_access(tier)
-                        return PageHandle(self, pid, False)
+                        return self._fixed(pid, False, self._hit_keys[found])
                 elif byte == sw.MARKED:
-                    # No Marked->Shared edge exists; clear the mark by taking
-                    # and dropping the exclusive lock, then retry shared.
-                    applied, _, _ = self.state.try_edge(pid, Edge.lock_exclusive())
-                    if applied:
-                        a, _, _ = self.state.try_edge(pid, Edge.unlock_exclusive(False))
-                        assert a
+                    # No Marked->Shared edge exists; clear the mark, retry shared.
+                    self._unmark(pid, word)
                     continue
             spins = self._backoff(spins, deadline, pid)
+
+    def _fixed(self, pid: int, exclusive: bool, outcome: str) -> PageHandle:
+        # Counted on the path that returns the handle, so a page evicted
+        # before its lock was taken counts as the fault it became.
+        self.registry.bump("fixes")
+        self.registry.bump(outcome)
+        return PageHandle(self, pid, exclusive)
+
+    def _unmark(self, pid: int, word: int) -> int:
+        """One UNMARK CAS on Marked `word`; returns the word the page now
+        holds if it applied, else `word`."""
+        new = sw.transition(self.layout, word, _UNMARK)
+        return new if self.state.compare_and_swap(pid, word, new) else word
 
     def unfix(self, handle: PageHandle, dirty: bool | None = None) -> None:
         assert not handle._released, "handle unfixed twice"
@@ -280,8 +295,14 @@ class BufferPool:
                 applied, old, _ = self.state.try_edge(pid, Edge.lock_shared())
                 if applied:
                     return True
-                if self.layout.lock_byte(old) == sw.EVICTED:
+                byte = self.layout.lock_byte(old)
+                if byte == sw.EVICTED:
                     return False  # evicted in the gap; take the outer loop again
+                if byte == sw.MARKED:
+                    # Marked in the gap (or demoted, which lands Marked):
+                    # nothing else may clear it, so clear it here.
+                    self._unmark(pid, old)
+                    continue
                 spins = self._backoff(spins, deadline, pid)
         return True
 
@@ -307,10 +328,12 @@ class BufferPool:
 
         The view is live memory: reader_fn must be side-effect-free and must
         tolerate torn bytes, because a result is discarded (and retried)
-        whenever the page's word, placement, or frame generation moved while
-        it ran.  Locked and Evicted pages fall back to a shared fix.  A
-        validated read of a remote-tier page counts as a hit there and rolls
-        the rr promotion policy, just like a pessimistic fix would.
+        whenever a writer holds the page at validation, or its version, tier,
+        placement, or frame generation moved while it ran; a mark or a shared
+        lock in between does not count.  A read clears the clock's mark.  Locked and
+        Evicted pages fall back to a shared fix.  A validated read of a
+        remote-tier page counts as a hit there and rolls the rr promotion
+        policy, just like a pessimistic fix would.
         """
         attempts = 0
         while True:
@@ -322,16 +345,19 @@ class BufferPool:
                     return reader_fn(h.data)
                 finally:
                     self.unfix(h)
+            if byte == sw.MARKED:
+                word = self._unmark(pid, word)  # if the CAS lost, read anyway
             packed0, gen0 = self.backend.read_token(pid)
             if packed0 >= 0:
                 view = self.backend.pools[packed0 >> 40].arena[packed0 & ((1 << 40) - 1)]
                 value = reader_fn(view)
                 packed1, gen1 = self.backend.read_token(pid)
-                if (self.state.load(pid) == word
-                        and packed1 == packed0 and gen1 == gen0):
+                w1 = self.state.load(pid)
+                if (packed1 == packed0 and gen1 == gen0
+                        and (w1 == word or self._unwritten(pid, word, w1))):
                     tier = packed0 >> 40
                     self.registry.bump("optimistic_reads")
-                    self.registry.bump(f"hits_t{tier}")
+                    self.registry.bump(self._hit_keys[tier])
                     self._charge_access(tier)
                     if tier != DRAM:
                         rng = rng or self.rng()
@@ -341,6 +367,19 @@ class BufferPool:
             attempts += 1
             self.registry.bump("optimistic_retries")
             time.sleep(0)
+
+    def _unwritten(self, pid: int, word: int, now: int) -> bool:
+        """Validation when the word moved from `word` to `now` during an
+        optimistic read: the bytes stand unless a writer holds the page or
+        the version or tier changed.  A mark set meanwhile is cleared again,
+        since the read was an access."""
+        byte = self.layout.lock_byte(now)
+        if (byte == sw.LOCKED or byte == sw.EVICTED
+                or (now ^ word) & (self.layout.tier_mask | self.layout.version_mask)):
+            return False
+        if byte == sw.MARKED:
+            self._unmark(pid, now)
+        return True
 
     # -- eviction --------------------------------------------------------
 
@@ -410,6 +449,10 @@ class BufferPool:
                 moved += 1
             a, _, _ = self.state.try_edge(pid, Edge.unlock_exclusive(False))
             assert a
+            if code >= 0:
+                # Land Marked: dst's clock takes it first, and promote_batch
+                # skips it until an access clears the mark.
+                self.state.try_edge(pid, Edge.mark())
         return moved
 
     def _migrate(self, pids: list[int], dst: int) -> list[int]:
@@ -478,7 +521,8 @@ class BufferPool:
     def promote_batch(self, trigger_pid: int, src_tier: int,
                       rng: random.Random | None = None) -> int:
         """Pull `trigger_pid` plus up to promote_batch-1 unlocked neighbors
-        from `src_tier` into DRAM with one migration call."""
+        (pages accessed since their demotion, which left them Marked) from
+        `src_tier` into DRAM with one migration call."""
         rng = rng or self.rng()
         if not 0 < src_tier < self.topology.n_memory_tiers:
             raise ConfigError(f"bad promotion source {src_tier}")
@@ -608,5 +652,7 @@ class BufferPool:
             shootdowns=t.get("shootdowns", 0),
             t_disk_ns=t.get("t_disk_ns", 0),
             t_migration_ns=t.get("t_migration_ns", 0),
+            optimistic_reads=t.get("optimistic_reads", 0),
+            optimistic_retries=t.get("optimistic_retries", 0),
             occupancy=[self.backend.occupancy(i) for i in range(m)],
         )

@@ -110,6 +110,7 @@ class EdgeKind(Enum):
     UNLOCK_EXCLUSIVE = "unlock_exclusive"
     UNLOCK_SHARED = "unlock_shared"
     MARK = "mark"
+    UNMARK = "unmark"
     EVICT = "evict"
     SET_TIER = "set_tier"
     FAULT_IN = "fault_in"
@@ -144,6 +145,10 @@ class Edge:
         return Edge(EdgeKind.MARK)
 
     @staticmethod
+    def unmark() -> "Edge":
+        return Edge(EdgeKind.UNMARK)
+
+    @staticmethod
     def evict() -> "Edge":
         return Edge(EdgeKind.EVICT)
 
@@ -162,7 +167,9 @@ def transition(layout: StateLayout, word: int, edge: Edge) -> int | None:
     Legal edges:
       Unlocked -> LockedShared(1), LockedShared(k) -> LockedShared(k +/- 1),
       Unlocked/Marked -> Locked, Locked -> Unlocked (version +1 iff dirty),
-      Unlocked -> Marked, Locked -> Evicted (version +1, tier bits cleared),
+      Unlocked -> Marked, Marked -> Unlocked (an access clears the clock's
+      mark; version and tier kept), Locked -> Evicted (version +1, tier bits
+      cleared),
       Locked -> Locked with new tier bits (version kept),
       Evicted -> Locked in a target tier (fault-in).
     Everything else is refused.
@@ -193,6 +200,10 @@ def transition(layout: StateLayout, word: int, edge: Edge) -> int | None:
     if k is EdgeKind.MARK:
         if lock == UNLOCKED:
             return layout.pack(MARKED, tier, version)
+        return None
+    if k is EdgeKind.UNMARK:
+        if lock == MARKED:
+            return layout.pack(UNLOCKED, tier, version)
         return None
     if k is EdgeKind.EVICT:
         if lock == LOCKED:

@@ -1,12 +1,13 @@
 """Fixed-page B+tree against an ordered-map oracle."""
 
+import collections
 import random
 import threading
 
 import pytest
 
 from conftest import make_pool
-from tierpool.btree import KEY_MAX, VAL_MAX, BTree
+from tierpool.btree import KEY_MAX, VAL_MAX, BTree, _u16
 from tierpool.errors import ConfigError
 from tierpool.pool import MigrationPolicy
 from tierpool.state_word import LOCKED, SHARED_MAX, SHARED_MIN
@@ -245,3 +246,37 @@ def test_readers_during_writes_see_committed_values():
     stop.set()
     w.join()
     assert not errors, errors
+
+
+def test_clock_keeps_root_and_inner_nodes_under_optimistic_lookups():
+    """Lookups read inner nodes only optimistically; those reads must count
+    as accesses, or the clock evicts the pages every lookup needs."""
+    pool = make_pool(256, disk=1 << 11,
+                     policy=MigrationPolicy(evict_batch=128))
+    t = BTree(pool)
+    keys = [keyf(i) for i in range(512)]
+    t.bulk_load(keys, [b"v%d" % i for i in range(512)], fill=1)
+    with pool.fix(t.root_pid, exclusive=False) as h:
+        inner = [t._child(h.data, i) for i in range(_u16(h.data, 2) + 1)]
+    full = []
+    for pid in inner:
+        with pool.fix(pid, exclusive=False) as h:
+            if _u16(h.data, 2) == t.inner_cap:
+                full.append(pid)
+    assert len(full) == len(inner) - 1 == 9
+    pool.evict_all()
+    faults = collections.Counter()
+    bind_and_read = pool.backend.bind_and_read
+
+    def counting(pid, tier):
+        faults[pid] += 1
+        return bind_and_read(pid, tier)
+
+    pool.backend.bind_and_read = counting
+    rnd = random.Random(1)
+    for _ in range(4000):
+        i = rnd.randrange(512)
+        assert t.lookup(keys[i]) == b"v%d" % i
+    assert sum(faults.values()) > 1000       # the leaves do not fit
+    assert faults[t.root_pid] == 1
+    assert all(faults[pid] <= 1 for pid in full), [faults[pid] for pid in full]

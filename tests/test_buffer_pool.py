@@ -1,6 +1,7 @@
 """BufferPool: faults, policy rolls, eviction, promotion, optimistic reads."""
 
 import random
+import sys
 import threading
 import time
 
@@ -42,6 +43,63 @@ def test_handle_context_manager_marks_dirty():
         h.mark_dirty()
     assert pool.page_state(1)[2] == 1
     assert pool.is_dirty(1)
+
+
+def test_fix_counts_a_page_evicted_before_its_lock_as_a_fault():
+    """Hit or fault is decided on the path that returns the handle."""
+    pool = make_pool(4, disk=16)
+    pool.unfix(pool.fix(1))                   # page 1 now resident
+    real_load = pool.state.load
+    loads = []
+
+    def load(slot):
+        loads.append(slot)
+        if len(loads) == 2:                   # after fix() saw it resident
+            pool.state.load = real_load
+            pool.evict_all()
+        return real_load(slot)
+
+    pool.state.load = load
+    pool.unfix(pool.fix(1))
+    s = pool.stats()
+    assert s.fixes == 2 and s.faults == 2 and s.hits[0] == 0
+    assert s.disk_reads == 2
+
+
+def test_shared_fix_of_a_marked_page_only_unmarks_it():
+    pool = make_pool(4, disk=16, trace=True)
+    pool.unfix(pool.fix(0))
+    pool.evict_batch(0, DISK)                 # marks only
+    assert pool.page_state(0) == (sw.MARKED, 0, 0)
+    start = len(pool.state.trace_log)
+    h = pool.fix(0, exclusive=False)
+    assert pool.page_state(0) == (1, 0, 0)
+    pool.unfix(h)
+    locks = [pool.layout.lock_byte(new) for slot, _, new in pool.state.trace_log[start:]
+             if slot == 0]
+    assert locks == [sw.UNLOCKED, 1, sw.UNLOCKED]
+    assert pool.stats().hits[0] == 1
+
+
+def test_shared_fault_survives_a_mark_before_its_downgrade():
+    """A shared fault drops its exclusive lock before taking the shared
+    one; a clock mark (or a demotion, which lands Marked) in that gap
+    must not leave it spinning until its timeout."""
+    pool = make_pool(4, disk=16, fix_timeout_s=2.0)
+    try_edge = pool.state.try_edge
+
+    def clock_in_the_gap(slot, edge):
+        out = try_edge(slot, edge)
+        if edge.kind is sw.EdgeKind.UNLOCK_EXCLUSIVE and out[0]:
+            try_edge(slot, sw.Edge.mark())
+        return out
+
+    pool.state.try_edge = clock_in_the_gap
+    h = pool.fix(3, exclusive=False)
+    assert pool.page_state(3) == (1, 0, 0)
+    pool.unfix(h)
+    s = pool.stats()
+    assert s.fixes == 1 and s.faults == 1
 
 
 def test_shared_lock_counting():
@@ -253,6 +311,24 @@ def test_promote_batch_pulls_trigger_and_neighbors():
     assert_coherent(pool)
 
 
+def test_demoted_pages_land_marked_and_only_accessed_ones_are_promoted():
+    pol = MigrationPolicy(rr=0.0, evict_batch=8, promote_batch=8)
+    pool = make_pool(8, 8, disk=64, policy=pol)
+    for pid in range(6):
+        pool.unfix(pool.fix(pid))
+    assert pool.evict_batch(0, 1) == 0        # first pass only marks
+    assert pool.evict_batch(0, 1) == 6
+    for pid in range(6):
+        assert pool.page_state(pid) == (sw.MARKED, 1, 0)
+    for pid in (1, 3):                        # accessed since demotion
+        pool.optimistic_read(pid, lambda v: int(v[0]))
+    assert pool.promote_batch(5, 1) == 3      # the trigger plus pages 1 and 3
+    assert [pool.page_state(pid)[1] for pid in range(6)] == [1, DRAM, 1, DRAM, 1, DRAM]
+    for pid in (0, 2, 4):
+        assert pool.page_state(pid)[0] == sw.MARKED
+    assert_coherent(pool)
+
+
 def test_promote_batch_needs_unlocked_trigger():
     pol = MigrationPolicy(dr=0.0, rr=0.0)
     pool = make_pool(8, 8, disk=64, policy=pol)
@@ -315,6 +391,54 @@ def test_optimistic_read_detects_frame_move():
     assert_coherent(pool)
 
 
+def test_optimistic_read_clears_the_mark():
+    pool = make_pool(4, disk=16)
+    with pool.fix(0) as h:
+        h.data[0] = 5
+        h.mark_dirty()
+    pool.evict_batch(0, DISK)                 # marks only
+    assert pool.page_state(0) == (sw.MARKED, 0, 1)
+    assert pool.optimistic_read(0, lambda v: int(v[0])) == 5
+    assert pool.page_state(0) == (sw.UNLOCKED, 0, 1)
+    s = pool.stats()
+    assert s.optimistic_reads == 1 and s.optimistic_retries == 0
+
+
+def test_optimistic_read_ignores_a_mark_set_while_it_reads():
+    """Validation looks past the lock byte unless a writer holds the page."""
+    pool = make_pool(4, disk=16)
+    pool.unfix(pool.fix(0))
+    calls = []
+
+    def reader(view):
+        calls.append(1)
+        pool.state.try_edge(0, sw.Edge.mark())
+        return int(view[0])
+
+    assert pool.optimistic_read(0, reader) == 0
+    assert len(calls) == 1
+    assert pool.stats().optimistic_retries == 0
+    assert pool.page_state(0) == (sw.UNLOCKED, 0, 0)
+
+
+def test_optimistic_read_retries_after_a_write():
+    pool = make_pool(4, disk=16)
+    pool.unfix(pool.fix(0))
+    calls = []
+
+    def reader(view):
+        calls.append(int(view[0]))
+        if len(calls) == 1:                   # a writer slips in mid-read
+            with pool.fix(0) as h:
+                h.data[0] = 9
+                h.mark_dirty()
+        return int(view[0])
+
+    assert pool.optimistic_read(0, reader) == 9
+    assert calls == [0, 9]
+    assert pool.stats().optimistic_retries == 1
+
+
 def test_optimistic_read_never_tears():
     """Paired-byte pages: a validated read is internally consistent."""
     pool = make_pool(4, disk=16, page_size=512, fix_timeout_s=120.0)
@@ -341,6 +465,66 @@ def test_optimistic_read_never_tears():
     finally:
         stop.set()
         w.join()
+
+
+def test_optimistic_read_never_tears_while_marks_and_shared_locks_move():
+    """Validation looks past marks, unmarks and shared locks, but a writer
+    between read and validate must still force a retry."""
+    pool = make_pool(4, disk=16, page_size=512, fix_timeout_s=120.0)
+    with pool.fix(0) as h:
+        h.mark_dirty()
+    stop = threading.Event()
+    errors = []
+
+    def writer():
+        flip = 0
+        while not stop.is_set():
+            with pool.fix(0) as h:
+                flip ^= 0xFF
+                h.data[:] = flip
+                h.mark_dirty()
+            time.sleep(0)
+
+    def clock():
+        while not stop.is_set():
+            pool.state.try_edge(0, sw.Edge.mark())
+            time.sleep(0)
+
+    def sharer():
+        while not stop.is_set():
+            pool.unfix(pool.fix(0, exclusive=False))
+            time.sleep(0)
+
+    def ends(view):
+        lo = int(view[0])
+        time.sleep(0)  # let the writer run between the two loads
+        return lo, int(view[-1])
+
+    def reader():
+        try:
+            for _ in range(300):
+                lo, hi = pool.optimistic_read(0, ends)
+                assert lo == hi, "torn optimistic read escaped validation"
+        except Exception as e:       # pragma: no cover - failure reporting
+            errors.append(e)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    background = [threading.Thread(target=f) for f in (writer, clock, sharer)]
+    readers = [threading.Thread(target=reader) for _ in range(2)]
+    try:
+        for t in background + readers:
+            t.start()
+        for t in readers:
+            t.join(120)
+    finally:
+        stop.set()
+        for t in background:
+            t.join(120)
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in background + readers)
+    assert not errors, errors
+    assert pool.stats().optimistic_reads > 0
 
 
 # -- accounting and coherence -------------------------------------------

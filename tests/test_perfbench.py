@@ -2,7 +2,8 @@
 
 perfbench/spans.py wraps methods by name (each frame pool's `insert`,
 `remove`, `sweep` and `snapshot` among them), so a rename in the library
-would make a traced run fail or report zero for a layer.
+would make a traced run fail or report zero for a layer.  The same run
+guards against the default policy's promotion thrash returning.
 """
 
 import json
@@ -22,3 +23,6 @@ def test_traced_tiered_lookup_runs_and_counts_residency_updates():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["metrics"]["resident_set.updates_per_op"]["value"] > 0
+    # Promotion takes only remote pages accessed since their demotion; when
+    # every remote page looked hot, this read about 300 pages per lookup.
+    assert result["metrics"]["migration.pages_per_op"]["value"] < 50

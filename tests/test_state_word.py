@@ -48,6 +48,8 @@ def oracle(layout: StateLayout, lock: int, tier: int, version: int,
     if lock == sw.MARKED:
         if edge.kind is K.LOCK_EXCLUSIVE:
             return (sw.LOCKED, tier, version)
+        if edge.kind is K.UNMARK:
+            return (sw.UNLOCKED, tier, version)
         return None
     assert lock == sw.EVICTED
     if edge.kind is K.FAULT_IN and not bad_tier:
@@ -58,7 +60,7 @@ def oracle(layout: StateLayout, lock: int, tier: int, version: int,
 def all_edges(memory_tiers: int):
     edges = [Edge.lock_shared(), Edge.lock_exclusive(), Edge.unlock_shared(),
              Edge.unlock_exclusive(dirty=False), Edge.unlock_exclusive(dirty=True),
-             Edge.mark(), Edge.evict()]
+             Edge.mark(), Edge.unmark(), Edge.evict()]
     for t in range(memory_tiers):
         edges.append(Edge.set_tier(t))
         edges.append(Edge.fault_in(t))
@@ -171,6 +173,9 @@ def test_marked_refuses_shared():
     assert transition(layout, w, Edge.lock_shared()) is None
     # ...but an exclusive grab clears the mark
     assert layout.lock_byte(transition(layout, w, Edge.lock_exclusive())) == sw.LOCKED
+    # ...and so does UNMARK, which is refused from every other state
+    assert layout.unpack(transition(layout, w, Edge.unmark())) == (sw.UNLOCKED, 1, 3)
+    assert transition(layout, layout.pack(sw.UNLOCKED, 1, 3), Edge.unmark()) is None
 
 
 def test_try_edge_semantics():
