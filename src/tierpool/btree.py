@@ -7,17 +7,23 @@ Layout (page size P, header 16 bytes):
     leaf cells    stride 196: klen u16, key[64], vlen u16, value[128]
     inner cells   stride 74:  klen u16, key[64], child i64
 
-Readers descend with optimistic page reads and parse defensively (a torn page
-may yield nonsense but never an exception); a read is only trusted after the
-pool validates it.  Splits move keys strictly rightward along the leaf sibling
-chain and nodes are never merged or freed, so a reader that was routed by a
-stale parent can always recover by hopping right.  Writers use top-down
-exclusive lock coupling with preemptive splits, so a parent always has room
-for the separator a child split posts into it.
+Every probe parses its node from one immutable `bytes` snapshot of the page
+(`ndarray.tobytes()`) with precompiled `struct` formats and plain slices;
+writers parse a snapshot of the page they hold locked and write each cell
+with one `pack_into`.  Readers descend with optimistic page reads and parse
+defensively (a torn page may yield nonsense but never an exception): the
+cell count is clamped to the node's capacity and every child and sibling
+pid is range-checked.  A read is only trusted after the pool validates it.
+Splits move keys strictly rightward along the leaf sibling chain and nodes
+are never merged or freed, so a reader that was routed by a stale parent can
+always recover by hopping right.  Writers use top-down exclusive lock
+coupling with preemptive splits, so a parent always has room for the
+separator a child split posts into it.
 """
 
 from __future__ import annotations
 
+import struct
 import threading
 
 import numpy as np
@@ -27,35 +33,95 @@ from .pool import BufferPool
 
 LEAF = 1
 INNER = 2
-HDR = 16
 KEY_MAX = 64
 VAL_MAX = 128
-LEAF_STRIDE = 2 + KEY_MAX + 2 + VAL_MAX
-INNER_STRIDE = 2 + KEY_MAX + 8
+
+_HEAD = struct.Struct("<BxHq4x")  # node type, cell count, sibling or leftmost
+_LEAF_CELL = struct.Struct(f"<H{KEY_MAX}sH{VAL_MAX}s")  # klen, key, vlen, value
+_INNER_CELL = struct.Struct(f"<H{KEY_MAX}sq")           # klen, key, child
+_U16 = struct.Struct("<H")
+_u16 = _U16.unpack_from
+_i64 = struct.Struct("<q").unpack_from
+
+HDR = _HEAD.size
+LEAF_STRIDE = _LEAF_CELL.size
+INNER_STRIDE = _INNER_CELL.size
 
 _RETRY = object()
 
 
-def _u16(view: np.ndarray, off: int) -> int:
-    return int(view[off]) | (int(view[off + 1]) << 8)
+# -- parsing a page snapshot (safe on torn bytes) ----------------------------
+#
+# `page` is always `bytes`: slices of a numpy view compare element by
+# element, so `view[a:b] <= key` would not be a byte-string comparison.
+
+def _leaf_key(page: bytes, i: int) -> bytes | None:
+    off = HDR + i * LEAF_STRIDE
+    klen, = _u16(page, off)
+    if not 1 <= klen <= KEY_MAX:
+        return None
+    return page[off + 2:off + 2 + klen]
 
 
-def _put_u16(view: np.ndarray, off: int, x: int) -> None:
-    view[off] = x & 0xFF
-    view[off + 1] = (x >> 8) & 0xFF
+def _leaf_value(page: bytes, i: int) -> bytes | None:
+    off = HDR + i * LEAF_STRIDE + 2 + KEY_MAX
+    vlen, = _u16(page, off)
+    if vlen > VAL_MAX:
+        return None
+    return page[off + 2:off + 2 + vlen]
 
 
-def _i64(view: np.ndarray, off: int) -> int:
-    return int.from_bytes(bytes(view[off:off + 8]), "little", signed=True)
+def _inner_key(page: bytes, i: int) -> bytes | None:
+    off = HDR + i * INNER_STRIDE
+    klen, = _u16(page, off)
+    if not 1 <= klen <= KEY_MAX:
+        return None
+    return page[off + 2:off + 2 + klen]
 
 
-def _put_i64(view: np.ndarray, off: int, x: int) -> None:
-    view[off:off + 8] = np.frombuffer(x.to_bytes(8, "little", signed=True),
-                                      dtype=np.uint8)
+def _child(page: bytes, i: int) -> int:
+    """Child pid at child index i (0 = leftmost)."""
+    if i == 0:
+        return _i64(page, 4)[0]
+    return _i64(page, HDR + (i - 1) * INNER_STRIDE + 2 + KEY_MAX)[0]
+
+
+def _leaf_search(page: bytes, key: bytes, n: int) -> tuple[int, bool]:
+    """(first index whose key is >= `key`, whether it equals `key`) among
+    the first `n` cells; a bad key length stops the search unfound."""
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        off = HDR + mid * LEAF_STRIDE
+        klen, = _u16(page, off)
+        if not 1 <= klen <= KEY_MAX:
+            return lo, False
+        if page[off + 2:off + 2 + klen] < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo, lo < n and _leaf_key(page, lo) == key
+
+
+def _inner_search(page: bytes, key: bytes, n: int) -> int | None:
+    """Number of the first `n` separators that are <= `key`, which is the
+    index of the child covering it; None on a bad key length."""
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        off = HDR + mid * INNER_STRIDE
+        klen, = _u16(page, off)
+        if not 1 <= klen <= KEY_MAX:
+            return None
+        if page[off + 2:off + 2 + klen] <= key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _put_bytes(view: np.ndarray, off: int, data: bytes) -> None:
-    view[off:off + len(data)] = np.frombuffer(data, dtype=np.uint8)
+    struct.pack_into(f"{len(data)}s", view, off, data)
 
 
 class BTree:
@@ -67,95 +133,29 @@ class BTree:
         self.inner_cap = (ps - HDR) // INNER_STRIDE
         if self.leaf_cap < 2 or self.inner_cap < 3:
             raise ConfigError(f"page size {ps} too small for the cell layout")
+        self._slots = pool.topology.slots
         self._alloc_lock = threading.Lock()
         self._next_pid = root_pid + 1
         if init:
             with pool.fix(root_pid, exclusive=True) as h:
-                self._format_leaf(h.data, sibling=-1)
+                _HEAD.pack_into(h.data, 0, LEAF, 0, -1)
                 h.mark_dirty()
-
-    # -- page formatting -------------------------------------------------
-
-    def _format_leaf(self, view: np.ndarray, sibling: int) -> None:
-        view[:HDR] = 0
-        view[0] = LEAF
-        _put_i64(view, 4, sibling)
-
-    def _format_inner(self, view: np.ndarray, leftmost: int) -> None:
-        view[:HDR] = 0
-        view[0] = INNER
-        _put_i64(view, 4, leftmost)
 
     def _alloc_pid(self) -> int:
         with self._alloc_lock:
             pid = self._next_pid
             self._next_pid += 1
-        if pid >= self.pool.topology.slots:
+        if pid >= self._slots:
             raise ConfigError("btree ran out of page slots")
         return pid
 
-    # -- defensive parsing (safe on torn bytes) --------------------------
-
-    def _leaf_key(self, view, i: int) -> bytes | None:
-        off = HDR + i * LEAF_STRIDE
-        klen = _u16(view, off)
-        if not 1 <= klen <= KEY_MAX:
-            return None
-        return bytes(view[off + 2:off + 2 + klen])
-
-    def _leaf_value(self, view, i: int) -> bytes | None:
-        off = HDR + i * LEAF_STRIDE + 2 + KEY_MAX
-        vlen = _u16(view, off)
-        if vlen > VAL_MAX:
-            return None
-        return bytes(view[off + 2:off + 2 + vlen])
-
-    def _inner_key(self, view, i: int) -> bytes | None:
-        off = HDR + i * INNER_STRIDE
-        klen = _u16(view, off)
-        if not 1 <= klen <= KEY_MAX:
-            return None
-        return bytes(view[off + 2:off + 2 + klen])
-
-    def _child(self, view, i: int) -> int:
-        """Child pid at child index i (0 = leftmost)."""
-        if i == 0:
-            return _i64(view, 4)
-        off = HDR + (i - 1) * INNER_STRIDE + 2 + KEY_MAX
-        return _i64(view, off)
-
-    def _route(self, view, key: bytes) -> int | None:
+    def _route(self, page: bytes, key: bytes) -> int | None:
         """Child pid covering `key` in an inner node, or None on bad bytes."""
-        n = min(_u16(view, 2), self.inner_cap)
-        lo, hi = 0, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            k = self._inner_key(view, mid)
-            if k is None:
-                return None
-            if k <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        child = self._child(view, lo)
-        if not 0 <= child < self.pool.topology.slots:
+        i = _inner_search(page, key, min(_u16(page, 2)[0], self.inner_cap))
+        if i is None:
             return None
-        return child
-
-    def _leaf_search(self, view, key: bytes, n: int) -> tuple[int, bool]:
-        lo, hi = 0, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            k = self._leaf_key(view, mid)
-            if k is None:
-                return lo, False
-            if k < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < n and self._leaf_key(view, lo) == key:
-            return lo, True
-        return lo, False
+        child = _child(page, i)
+        return child if 0 <= child < self._slots else None
 
     # -- lookup ----------------------------------------------------------
 
@@ -167,28 +167,30 @@ class BTree:
                 return out
         return self._lookup_pessimistic(key)
 
-    def _probe(self, view, key: bytes):
-        t = int(view[0])
+    def _probe(self, view: np.ndarray, key: bytes):
+        page = view.tobytes()
+        t = page[0]
         if t == INNER:
-            child = self._route(view, key)
+            child = self._route(page, key)
             return _RETRY if child is None else ("child", child)
         if t == LEAF:
-            n = min(_u16(view, 2), self.leaf_cap)
-            i, found = self._leaf_search(view, key, n)
+            _, n, sib = _HEAD.unpack_from(page)
+            n = min(n, self.leaf_cap)
+            i, found = _leaf_search(page, key, n)
             if found:
-                return ("hit", self._leaf_value(view, i))
+                return ("hit", _leaf_value(page, i))
             if n > 0:
-                last = self._leaf_key(view, n - 1)
-                sib = _i64(view, 4)
-                if last is not None and key > last and 0 <= sib < self.pool.topology.slots:
+                last = _leaf_key(page, n - 1)
+                if last is not None and key > last and 0 <= sib < self._slots:
                     return ("sib", sib)
             return ("miss", None)
         return _RETRY
 
     def _descend_optimistic(self, key: bytes):
         pid = self.root_pid
+        probe = lambda v: self._probe(v, key)
         for _ in range(64):
-            out = self.pool.optimistic_read(pid, lambda v: self._probe(v, key))
+            out = self.pool.optimistic_read(pid, probe)
             if out is _RETRY:
                 return _RETRY
             kind, payload = out
@@ -234,75 +236,61 @@ class BTree:
         h = self.pool.fix(self.root_pid, exclusive=True)
         ch = None
         try:
-            if self._node_full(h.data) and not self._overwrite_hit(h.data, key):
+            page = h.data.tobytes()
+            if self._node_full(page) and not self._overwrite_hit(page, key):
                 self._split_root(h)
-            while int(h.data[0]) == INNER:
-                child_pid = self._route(h.data, key)
+                page = h.data.tobytes()
+            while page[0] == INNER:
+                child_pid = self._route(page, key)
                 ch = self.pool.fix(child_pid, exclusive=True)
-                if self._node_full(ch.data) and not self._overwrite_hit(ch.data, key):
+                cpage = ch.data.tobytes()
+                if self._node_full(cpage) and not self._overwrite_hit(cpage, key):
                     self._split_child(h, ch, child_pid)
                     ch = None
+                    page = h.data.tobytes()
                     continue  # re-route from the (still locked) parent
                 self.pool.unfix(h)
-                h, ch = ch, None
-            self._leaf_insert(h, key, value)
+                h, ch, page = ch, None, cpage
+            self._leaf_insert(h, page, key, value)
         finally:
             # A split that runs out of page slots raises with both held.
             if ch is not None:
                 self.pool.unfix(ch)
             self.pool.unfix(h)
 
-    def _overwrite_hit(self, view, key: bytes) -> bool:
+    def _overwrite_hit(self, page: bytes, key: bytes) -> bool:
         """True for a full leaf that already holds `key`: overwrites go in
         place, so such a leaf needs no split."""
-        if int(view[0]) != LEAF:
+        if page[0] != LEAF:
             return False
-        _, found = self._leaf_search(view, key, _u16(view, 2))
-        return found
+        return _leaf_search(page, key, _u16(page, 2)[0])[1]
 
-    def _node_full(self, view) -> bool:
-        n = _u16(view, 2)
-        cap = self.leaf_cap if int(view[0]) == LEAF else self.inner_cap
-        return n >= cap
+    def _node_full(self, page: bytes) -> bool:
+        cap = self.leaf_cap if page[0] == LEAF else self.inner_cap
+        return _u16(page, 2)[0] >= cap
 
-    def _leaf_insert(self, h, key: bytes, value: bytes) -> None:
+    def _leaf_insert(self, h, page: bytes, key: bytes, value: bytes) -> None:
+        """Write (key, value) into the locked leaf `h`, whose bytes are `page`."""
         view = h.data
-        n = _u16(view, 2)
-        i, found = self._leaf_search(view, key, n)
+        n = _u16(page, 2)[0]
+        i, found = _leaf_search(page, key, n)
         off = HDR + i * LEAF_STRIDE
         if not found:
-            if i < n:  # shift tail right one stride (staged copy, slices overlap)
-                a, b = HDR + i * LEAF_STRIDE, HDR + n * LEAF_STRIDE
-                tail = view[a:b].copy()
-                view[a + LEAF_STRIDE:b + LEAF_STRIDE] = tail
-            _put_u16(view, 2, n + 1)
-        view[off:off + LEAF_STRIDE] = 0
-        _put_u16(view, off, len(key))
-        _put_bytes(view, off + 2, key)
-        _put_u16(view, off + 2 + KEY_MAX, len(value))
-        if value:
-            _put_bytes(view, off + 2 + KEY_MAX + 2, value)
+            if i < n:  # shift the tail right one stride
+                _put_bytes(view, off + LEAF_STRIDE, page[off:HDR + n * LEAF_STRIDE])
+            _U16.pack_into(view, 2, n + 1)
+        _LEAF_CELL.pack_into(view, off, len(key), key, len(value), value)
         h.mark_dirty()
 
-    def _inner_insert(self, view, sep: bytes, child: int) -> None:
-        n = _u16(view, 2)
-        lo, hi = 0, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._inner_key(view, mid) <= sep:
-                lo = mid + 1
-            else:
-                hi = mid
-        off = HDR + lo * INNER_STRIDE
-        if lo < n:
-            a, b = off, HDR + n * INNER_STRIDE
-            tail = view[a:b].copy()
-            view[a + INNER_STRIDE:b + INNER_STRIDE] = tail
-        view[off:off + INNER_STRIDE] = 0
-        _put_u16(view, off, len(sep))
-        _put_bytes(view, off + 2, sep)
-        _put_i64(view, off + 2 + KEY_MAX, child)
-        _put_u16(view, 2, n + 1)
+    def _inner_insert(self, view: np.ndarray, sep: bytes, child: int) -> None:
+        page = view.tobytes()
+        n = _u16(page, 2)[0]
+        i = _inner_search(page, sep, n)
+        off = HDR + i * INNER_STRIDE
+        if i < n:
+            _put_bytes(view, off + INNER_STRIDE, page[off:HDR + n * INNER_STRIDE])
+        _INNER_CELL.pack_into(view, off, len(sep), sep, child)
+        _U16.pack_into(view, 2, n + 1)
 
     def _split_child(self, hp, hc, child_pid: int) -> None:
         """Split the full child `hc` under its locked parent `hp`, then
@@ -317,32 +305,26 @@ class BTree:
         self.pool.unfix(hr)
         self.pool.unfix(hc)
 
-    def _split_node(self, left, right, right_pid: int) -> bytes:
+    def _split_node(self, left: np.ndarray, right: np.ndarray,
+                    right_pid: int) -> bytes:
         """Move the upper half of `left` into the fresh page `right`;
         returns the separator key to post into the parent."""
-        if int(left[0]) == LEAF:
-            n = _u16(left, 2)
-            mid = n // 2
-            self._format_leaf(right, sibling=_i64(left, 4))
-            a = HDR + mid * LEAF_STRIDE
-            b = HDR + n * LEAF_STRIDE
-            right[HDR:HDR + (b - a)] = left[a:b]
-            _put_u16(right, 2, n - mid)
-            _put_u16(left, 2, mid)
-            _put_i64(left, 4, right_pid)
-            return self._leaf_key(right, 0)
-        n = _u16(left, 2)
+        page = left.tobytes()
+        t, n, link = _HEAD.unpack_from(page)
         mid = n // 2
+        if t == LEAF:
+            a = HDR + mid * LEAF_STRIDE
+            _HEAD.pack_into(right, 0, LEAF, n - mid, link)
+            _put_bytes(right, HDR, page[a:HDR + n * LEAF_STRIDE])
+            _HEAD.pack_into(left, 0, LEAF, mid, right_pid)
+            return _leaf_key(page, mid)
         # Children c0..cn, separators s1..sn: promote s_{mid+1}; the right
         # node takes its child as leftmost plus everything after it.
-        sep = self._inner_key(left, mid)
-        self._format_inner(right, leftmost=self._child(left, mid + 1))
         a = HDR + (mid + 1) * INNER_STRIDE
-        b = HDR + n * INNER_STRIDE
-        right[HDR:HDR + (b - a)] = left[a:b]
-        _put_u16(right, 2, n - mid - 1)
-        _put_u16(left, 2, mid)
-        return sep
+        _HEAD.pack_into(right, 0, INNER, n - mid - 1, _child(page, mid + 1))
+        _put_bytes(right, HDR, page[a:HDR + n * INNER_STRIDE])
+        _U16.pack_into(left, 2, mid)
+        return _inner_key(page, mid)
 
     def _split_root(self, hroot) -> None:
         """Copy both halves of the root out to fresh pages; the root page
@@ -354,7 +336,7 @@ class BTree:
             root = hroot.data
             hl.data[:] = root
             sep = self._split_node(hl.data, hr.data, right_pid)
-            self._format_inner(root, leftmost=left_pid)
+            _HEAD.pack_into(root, 0, INNER, 0, left_pid)
             self._inner_insert(root, sep, right_pid)
             hroot.mark_dirty()
             hl.mark_dirty()
@@ -373,27 +355,29 @@ class BTree:
                 return out
         raise ConfigError("scan could not stabilize")  # pragma: no cover
 
-    def _probe_scan(self, view, key: bytes):
-        t = int(view[0])
+    def _probe_scan(self, view: np.ndarray, key: bytes):
+        page = view.tobytes()
+        t = page[0]
         if t == INNER:
-            child = self._route(view, key)
+            child = self._route(page, key)
             return _RETRY if child is None else ("child", child)
         if t == LEAF:
-            n = min(_u16(view, 2), self.leaf_cap)
+            _, n, sib = _HEAD.unpack_from(page)
+            n = min(n, self.leaf_cap)
             pairs = []
-            for i in range(n):
-                k = self._leaf_key(view, i)
-                v = self._leaf_value(view, i)
-                if k is None or v is None:
+            for klen, k, vlen, v in _LEAF_CELL.iter_unpack(
+                    page[HDR:HDR + n * LEAF_STRIDE]):
+                if not 1 <= klen <= KEY_MAX or vlen > VAL_MAX:
                     return _RETRY
-                pairs.append((k, v))
-            return ("page", pairs, _i64(view, 4))
+                pairs.append((k[:klen], v[:vlen]))
+            return ("page", pairs, sib)
         return _RETRY
 
     def _scan_once(self, from_key: bytes, limit: int):
         pid = self.root_pid
+        probe = lambda v: self._probe_scan(v, from_key)
         for _ in range(64):
-            out = self.pool.optimistic_read(pid, lambda v: self._probe_scan(v, from_key))
+            out = self.pool.optimistic_read(pid, probe)
             if out is _RETRY:
                 return _RETRY
             if out[0] == "child":
@@ -412,8 +396,7 @@ class BTree:
                         return results
             if sib < 0:
                 return results
-            out = self.pool.optimistic_read(pid := sib,
-                                            lambda v: self._probe_scan(v, from_key))
+            out = self.pool.optimistic_read(sib, probe)
             if out is _RETRY or out[0] != "page":
                 return _RETRY
             _, pairs, sib = out
@@ -446,16 +429,11 @@ class BTree:
             sib = pids[idx + 1] if idx + 1 < len(pids) else -1
             with pool.fix(pids[idx], exclusive=True) as h:
                 view = h.data
-                self._format_leaf(view, sibling=sib)
-                _put_u16(view, 2, len(chunk))
+                _HEAD.pack_into(view, 0, LEAF, len(chunk), sib)
                 for i, j in enumerate(chunk):
-                    off = HDR + i * LEAF_STRIDE
                     key, value = bytes(keys[j]), bytes(values[j])
-                    _put_u16(view, off, len(key))
-                    _put_bytes(view, off + 2, key)
-                    _put_u16(view, off + 2 + KEY_MAX, len(value))
-                    if value:
-                        _put_bytes(view, off + 2 + KEY_MAX + 2, value)
+                    _LEAF_CELL.pack_into(view, HDR + i * LEAF_STRIDE,
+                                         len(key), key, len(value), value)
                 h.mark_dirty()
         self._build_upper(pids, seps)
 
@@ -472,14 +450,11 @@ class BTree:
                 group = pids[start:start + fan]
                 with pool.fix(node_pid, exclusive=True) as h:
                     view = h.data
-                    self._format_inner(view, leftmost=group[0])
+                    _HEAD.pack_into(view, 0, INNER, len(group) - 1, group[0])
                     for i, child in enumerate(group[1:]):
-                        off = HDR + i * INNER_STRIDE
                         sep = seps[start + 1 + i]
-                        _put_u16(view, off, len(sep))
-                        _put_bytes(view, off + 2, sep)
-                        _put_i64(view, off + 2 + KEY_MAX, child)
-                    _put_u16(view, 2, len(group) - 1)
+                        _INNER_CELL.pack_into(view, HDR + i * INNER_STRIDE,
+                                              len(sep), sep, child)
                     h.mark_dirty()
                 up_pids.append(node_pid)
                 up_seps.append(seps[start])

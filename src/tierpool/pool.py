@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import state_word as sw
-from .backend import DISK, TierBackend, TierTopology
+from .backend import _FRAME_MASK, _FRAME_SHIFT, DISK, TierBackend, TierTopology
 from .cost_model import CostModel
 from .errors import ConfigError, IllegalState, PoolTimeout, TierFull
 from .migration import (MigrationEngine, MigrationMode, MigrationRequest)
@@ -40,7 +40,15 @@ DRAM = 0
 
 _ENGINES = ("mp2", "legacy", "mbind")
 
+# Edges are frozen values, so every CAS shares these instead of building one.
+_LOCK_EXCLUSIVE = Edge.lock_exclusive()
+_LOCK_SHARED = Edge.lock_shared()
+_UNLOCK_CLEAN = Edge.unlock_exclusive(False)
+_UNLOCK_DIRTY = Edge.unlock_exclusive(True)
+_UNLOCK_SHARED = Edge.unlock_shared()
+_MARK = Edge.mark()
 _UNMARK = Edge.unmark()
+_EVICT = Edge.evict()
 
 
 @dataclass
@@ -156,7 +164,11 @@ class BufferPool:
         self.state = StateTable(topology.slots, self.layout, trace=trace)
         # Residency and the clock live in the backend's frame pools.
         self.resident = self.backend.pools
-        self._hit_keys = tuple(f"hits_t{t}" for t in range(topology.n_memory_tiers))
+        m = topology.n_memory_tiers
+        self._hit_keys = tuple(f"hits_t{t}" for t in range(m))
+        self._read_ns = tuple(t.read_latency_ns for t in topology.memory_tiers)
+        self._set_tier_edges = tuple(Edge.set_tier(t) for t in range(m))
+        self._fault_in_edges = tuple(Edge.fault_in(t) for t in range(m))
         self.dirty = np.zeros(topology.slots, dtype=bool)
         self.seed = seed
         self.fix_timeout_s = fix_timeout_s
@@ -210,13 +222,13 @@ class BufferPool:
                 continue
             if exclusive:
                 if byte in (sw.UNLOCKED, sw.MARKED):
-                    applied, _, _ = self.state.try_edge(pid, Edge.lock_exclusive())
+                    applied, _, _ = self.state.try_edge(pid, _LOCK_EXCLUSIVE)
                     if applied:
                         self._charge_access(tier)
                         return self._fixed(pid, True, self._hit_keys[found])
             else:
                 if byte == sw.UNLOCKED or sw.SHARED_MIN <= byte < sw.SHARED_MAX:
-                    applied, _, _ = self.state.try_edge(pid, Edge.lock_shared())
+                    applied, _, _ = self.state.try_edge(pid, _LOCK_SHARED)
                     if applied:
                         self._charge_access(tier)
                         return self._fixed(pid, False, self._hit_keys[found])
@@ -247,13 +259,14 @@ class BufferPool:
             is_dirty = handle._dirty if dirty is None else (dirty or handle._dirty)
             if is_dirty:
                 self.dirty[pid] = True
-            applied, old, _ = self.state.try_edge(pid, Edge.unlock_exclusive(is_dirty))
+            applied, old, _ = self.state.try_edge(
+                pid, _UNLOCK_DIRTY if is_dirty else _UNLOCK_CLEAN)
             if not applied:
                 raise IllegalState(f"exclusive unfix of page {pid} in state "
                                    f"{sw.describe_lock(self.layout.lock_byte(old))}")
         else:
             while True:
-                applied, old, _ = self.state.try_edge(pid, Edge.unlock_shared())
+                applied, old, _ = self.state.try_edge(pid, _UNLOCK_SHARED)
                 if applied:
                     return
                 byte = self.layout.lock_byte(old)
@@ -270,7 +283,7 @@ class BufferPool:
         target = DRAM
         if m > 1 and rng.random() >= pol.dr:
             target = 1
-        applied, _, _ = self.state.try_edge(pid, Edge.fault_in(target))
+        applied, _, _ = self.state.try_edge(pid, self._fault_in_edges[target])
         if not applied:
             return False
         try:
@@ -283,16 +296,16 @@ class BufferPool:
                     continue  # a concurrent fault took the frame; evict again
         except BaseException:
             # Roll the word back so the page is not left locked forever.
-            a, _, _ = self.state.try_edge(pid, Edge.evict())
+            a, _, _ = self.state.try_edge(pid, _EVICT)
             assert a
             raise
         if not exclusive:
             # Downgrade: release exclusive, then take shared (racy but safe).
-            a, _, _ = self.state.try_edge(pid, Edge.unlock_exclusive(False))
+            a, _, _ = self.state.try_edge(pid, _UNLOCK_CLEAN)
             assert a
             spins = 0
             while True:
-                applied, old, _ = self.state.try_edge(pid, Edge.lock_shared())
+                applied, old, _ = self.state.try_edge(pid, _LOCK_SHARED)
                 if applied:
                     return True
                 byte = self.layout.lock_byte(old)
@@ -309,7 +322,9 @@ class BufferPool:
     def _charge_access(self, tier: int) -> None:
         # Simulated access latency of a memory-tier hit (zero for DRAM by
         # default, nonzero for remote tiers when the cost model is on).
-        self.backend.cost.charge(self.topology.memory_tiers[tier].read_latency_ns)
+        ns = self._read_ns[tier]
+        if ns:
+            self.backend.cost.charge(ns)
 
     def _backoff(self, spins: int, deadline: float, pid: int) -> int:
         if time.monotonic() > deadline:
@@ -335,9 +350,10 @@ class BufferPool:
         remote-tier page counts as a hit there and rolls the rr promotion
         policy, just like a pessimistic fix would.
         """
+        state, backend = self.state, self.backend
         attempts = 0
         while True:
-            word = self.state.load(pid)
+            word = state.load(pid)
             byte = self.layout.lock_byte(word)
             if byte == sw.LOCKED or byte == sw.EVICTED or attempts >= 64:
                 h = self.fix(pid, exclusive=False, rng=rng)
@@ -347,17 +363,18 @@ class BufferPool:
                     self.unfix(h)
             if byte == sw.MARKED:
                 word = self._unmark(pid, word)  # if the CAS lost, read anyway
-            packed0, gen0 = self.backend.read_token(pid)
+            packed0, gen0 = backend.read_token(pid)
             if packed0 >= 0:
-                view = self.backend.pools[packed0 >> 40].arena[packed0 & ((1 << 40) - 1)]
-                value = reader_fn(view)
-                packed1, gen1 = self.backend.read_token(pid)
-                w1 = self.state.load(pid)
+                tier = packed0 >> _FRAME_SHIFT
+                value = reader_fn(backend.pools[tier].arena[packed0 & _FRAME_MASK])
+                packed1, gen1 = backend.read_token(pid)
+                w1 = state.load(pid)
                 if (packed1 == packed0 and gen1 == gen0
                         and (w1 == word or self._unwritten(pid, word, w1))):
-                    tier = packed0 >> 40
-                    self.registry.bump("optimistic_reads")
-                    self.registry.bump(self._hit_keys[tier])
+                    sheet = self.registry.sheet()
+                    sheet["optimistic_reads"] = sheet.get("optimistic_reads", 0) + 1
+                    hits = self._hit_keys[tier]
+                    sheet[hits] = sheet.get(hits, 0) + 1
                     self._charge_access(tier)
                     if tier != DRAM:
                         rng = rng or self.rng()
@@ -398,10 +415,10 @@ class BufferPool:
             word = state.load(pid)
             byte = layout.lock_byte(word)
             if byte == sw.UNLOCKED:
-                state.try_edge(pid, Edge.mark())
+                state.try_edge(pid, _MARK)
                 return False
             if byte == sw.MARKED:
-                new = sw.transition(layout, word, Edge.lock_exclusive())
+                new = sw.transition(layout, word, _LOCK_EXCLUSIVE)
                 return state.compare_and_swap(pid, word, new)
             return False
 
@@ -421,14 +438,14 @@ class BufferPool:
             if self.dirty[pid]:
                 if last and rng.random() >= self.policy.dw:
                     # Policy skip: leave the page cached for another lap.
-                    a, _, _ = self.state.try_edge(pid, Edge.unlock_exclusive(False))
+                    a, _, _ = self.state.try_edge(pid, _UNLOCK_CLEAN)
                     assert a
                     continue
                 self.backend.write_back(pid)
                 self.dirty[pid] = False
             else:
                 self.backend.release_frame(pid)
-            a, _, _ = self.state.try_edge(pid, Edge.evict())
+            a, _, _ = self.state.try_edge(pid, _EVICT)
             assert a
             self.registry.bump("evicted_to_disk")
             moved += 1
@@ -440,19 +457,20 @@ class BufferPool:
         # turns every demotion into a TierFull no-op and nothing drains.
         self._room_for_batch(dst, len(taken), rng)
         codes = self._migrate(taken, dst)
+        to_dst = self._set_tier_edges[dst]
         moved = 0
         for pid, code in zip(taken, codes):
             if code >= 0:
-                a, _, _ = self.state.try_edge(pid, Edge.set_tier(dst))
+                a, _, _ = self.state.try_edge(pid, to_dst)
                 assert a
                 self.registry.bump("demoted_pages")
                 moved += 1
-            a, _, _ = self.state.try_edge(pid, Edge.unlock_exclusive(False))
+            a, _, _ = self.state.try_edge(pid, _UNLOCK_CLEAN)
             assert a
             if code >= 0:
                 # Land Marked: dst's clock takes it first, and promote_batch
                 # skips it until an access clears the mark.
-                self.state.try_edge(pid, Edge.mark())
+                self.state.try_edge(pid, _MARK)
         return moved
 
     def _migrate(self, pids: list[int], dst: int) -> list[int]:
@@ -540,7 +558,7 @@ class BufferPool:
                 word = state.load(pid)
                 if layout.lock_byte(word) != sw.UNLOCKED:
                     return False
-                new = sw.transition(layout, word, Edge.lock_exclusive())
+                new = sw.transition(layout, word, _LOCK_EXCLUSIVE)
                 return state.compare_and_swap(pid, word, new)
 
             extra = self.policy.promote_batch - 1
@@ -548,14 +566,15 @@ class BufferPool:
                 locked += self.resident[src_tier].sweep(visit, extra)
             self._room_for_batch(DRAM, len(locked), rng)
             codes = self._migrate(locked, DRAM)
+            to_dram = self._set_tier_edges[DRAM]
             moved = 0
             for pid, code in zip(locked, codes):
                 if code >= 0:
-                    a, _, _ = self.state.try_edge(pid, Edge.set_tier(DRAM))
+                    a, _, _ = self.state.try_edge(pid, to_dram)
                     assert a
                     self.registry.bump("promoted_pages")
                     moved += 1
-                a, _, _ = self.state.try_edge(pid, Edge.unlock_exclusive(False))
+                a, _, _ = self.state.try_edge(pid, _UNLOCK_CLEAN)
                 assert a
             return moved
 
@@ -566,7 +585,7 @@ class BufferPool:
             return False
         if self.layout.tier(word) != tier:
             return False
-        new = sw.transition(self.layout, word, Edge.lock_exclusive())
+        new = sw.transition(self.layout, word, _LOCK_EXCLUSIVE)
         return self.state.compare_and_swap(pid, word, new)
 
     # -- maintenance -----------------------------------------------------
@@ -585,7 +604,7 @@ class BufferPool:
                     self.backend.flush_page(pid)
                     self.dirty[pid] = False
                     flushed += 1
-                a, _, _ = self.state.try_edge(pid, Edge.unlock_exclusive(False))
+                a, _, _ = self.state.try_edge(pid, _UNLOCK_CLEAN)
                 assert a
         return flushed
 
@@ -603,7 +622,7 @@ class BufferPool:
                         self.dirty[pid] = False
                     else:
                         self.backend.release_frame(pid)
-                    a, _, _ = self.state.try_edge(pid, Edge.evict())
+                    a, _, _ = self.state.try_edge(pid, _EVICT)
                     assert a
                     self.registry.bump("evicted_to_disk")
                     evicted += 1
@@ -617,7 +636,7 @@ class BufferPool:
             if byte == sw.EVICTED:
                 return False
             if byte in (sw.UNLOCKED, sw.MARKED):
-                applied, _, _ = self.state.try_edge(pid, Edge.lock_exclusive())
+                applied, _, _ = self.state.try_edge(pid, _LOCK_EXCLUSIVE)
                 if applied:
                     return True
             spins = self._backoff(spins, deadline, pid)

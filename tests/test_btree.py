@@ -4,10 +4,12 @@ import collections
 import random
 import threading
 
+import numpy as np
 import pytest
 
 from conftest import make_pool
-from tierpool.btree import KEY_MAX, VAL_MAX, BTree, _u16
+from tierpool.btree import (_HEAD, _RETRY, HDR, INNER, INNER_STRIDE, KEY_MAX,
+                            LEAF, LEAF_STRIDE, VAL_MAX, BTree, _child)
 from tierpool.errors import ConfigError
 from tierpool.pool import MigrationPolicy
 from tierpool.state_word import LOCKED, SHARED_MAX, SHARED_MIN
@@ -257,11 +259,12 @@ def test_clock_keeps_root_and_inner_nodes_under_optimistic_lookups():
     keys = [keyf(i) for i in range(512)]
     t.bulk_load(keys, [b"v%d" % i for i in range(512)], fill=1)
     with pool.fix(t.root_pid, exclusive=False) as h:
-        inner = [t._child(h.data, i) for i in range(_u16(h.data, 2) + 1)]
+        page = h.data.tobytes()
+    inner = [_child(page, i) for i in range(_HEAD.unpack_from(page)[1] + 1)]
     full = []
     for pid in inner:
         with pool.fix(pid, exclusive=False) as h:
-            if _u16(h.data, 2) == t.inner_cap:
+            if _HEAD.unpack_from(h.data.tobytes())[1] == t.inner_cap:
                 full.append(pid)
     assert len(full) == len(inner) - 1 == 9
     pool.evict_all()
@@ -280,3 +283,66 @@ def test_clock_keeps_root_and_inner_nodes_under_optimistic_lookups():
     assert sum(faults.values()) > 1000       # the leaves do not fit
     assert faults[t.root_pid] == 1
     assert all(faults[pid] <= 1 for pid in full), [faults[pid] for pid in full]
+
+
+def test_probes_never_raise_on_torn_bytes():
+    """A torn page may parse to nonsense, never to an exception or to a pid
+    outside the page space: random pages, real nodes with random byte runs
+    overwritten, and real nodes with cell counts, key lengths and pids set
+    out of range."""
+    pool = make_pool(64, disk=1 << 12)
+    slots = pool.topology.slots
+    ps = pool.topology.page_size_bytes
+    t = BTree(pool)
+    t.bulk_load([keyf(i) for i in range(3000)], [b"v%d" % i for i in range(3000)])
+    nodes = {}
+    for pid in range(t._next_pid):
+        with pool.fix(pid, exclusive=False) as h:
+            page = h.data.tobytes()
+        nodes.setdefault(page[0], []).append(page)
+    assert set(nodes) == {LEAF, INNER}
+    rnd = random.Random(11)
+
+    def u16(x):
+        return x.to_bytes(2, "little")
+
+    def i64(x):
+        return x.to_bytes(8, "little", signed=True)
+
+    bad_pids = [-2, slots, slots + 7, (1 << 63) - 1, -(1 << 63)]
+    pages = [rnd.randbytes(ps) for _ in range(200)]
+    for kind, stride in ((LEAF, LEAF_STRIDE), (INNER, INNER_STRIDE)):
+        cap = t.leaf_cap if kind == LEAF else t.inner_cap
+        for _ in range(300):
+            page = bytearray(rnd.choice(nodes[kind]))
+            for _ in range(rnd.randrange(1, 4)):
+                a = rnd.randrange(ps)
+                b = min(ps, a + rnd.randrange(1, 2 * stride))
+                page[a:b] = rnd.randbytes(b - a)
+            pages.append(page)
+        for _ in range(100):
+            page = bytearray(rnd.choice(nodes[kind]))
+            page[2:4] = u16(rnd.choice([cap + 1, cap + 50, 0xFFFF]))
+            cell = HDR + rnd.randrange(cap) * stride
+            page[cell:cell + 2] = u16(rnd.choice([0, KEY_MAX + 1, 0xFFFF]))
+            page[4:12] = i64(rnd.choice(bad_pids))
+            if kind == INNER:
+                for i in range(cap):
+                    off = HDR + i * INNER_STRIDE + 2 + KEY_MAX
+                    page[off:off + 8] = i64(rnd.choice(bad_pids))
+            else:
+                off = HDR + rnd.randrange(cap) * LEAF_STRIDE + 2 + KEY_MAX
+                page[off:off + 2] = u16(rnd.choice([VAL_MAX + 1, 0xFFFF]))
+            pages.append(page)
+    keys = [keyf(rnd.randrange(3000)) for _ in range(4)]
+    keys += [b"\x00", b"\xff" * KEY_MAX, b"k"]
+    for page in pages:
+        view = np.frombuffer(bytes(page), dtype=np.uint8)
+        for key in keys:
+            for out in (t._probe(view, key), t._probe_scan(view, key)):
+                if out is _RETRY:
+                    continue
+                if out[0] in ("child", "sib"):
+                    assert 0 <= out[1] < slots, out
+                else:
+                    assert out[0] in ("hit", "miss", "page"), out
