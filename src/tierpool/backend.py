@@ -219,15 +219,8 @@ class TierBackend:
 
     def write_back(self, pid: int) -> None:
         """Copy the page's frame to disk, free the frame, mark it disk-resident."""
-        tier, frame = self._resolve(pid)
-        sheet = self.registry.sheet()
-        with self.registry.timed("t_disk_ns"):
-            self.disk.store[pid] = self.pools[tier].arena[frame]
-            sheet["disk_writes"] = sheet.get("disk_writes", 0) + 1
-            sheet["bytes_copied"] = sheet.get("bytes_copied", 0) + self.page_size
-            self.cost.charge(self.topology.disk.write_latency_ns)
-        self.place[pid] = -1
-        self.pools[tier].remove(frame)
+        self.flush_page(pid)
+        self.release_frame(pid)
 
     def release_frame(self, pid: int) -> None:
         """Drop a clean page's frame without writing; disk already has the bytes."""

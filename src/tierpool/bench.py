@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import TierSpec, TierTopology
-from .btree import (HDR, INNER_STRIDE, KEY_MAX, LEAF, LEAF_STRIDE, BTree)
+from .btree import HDR, INNER_STRIDE, LEAF_STRIDE, BTree
 from .cost_model import CostModel
 from .errors import ConfigError
-from .migration import MigrationMode
 from .pool import BufferPool, MigrationPolicy, PoolStats
 
 RANDOM_READ = "randomread"
@@ -65,7 +64,6 @@ class BenchConfig:
     promote_batch: int | None = None
     batch_cap: int | None = None
     engine: str = "mp2"
-    mode: MigrationMode = MigrationMode.SYNC
     # cost model
     cost_model_on: bool = False
     shootdown_ns: int = 4_000
@@ -129,7 +127,7 @@ class BenchConfig:
                                evict_batch=self.evict_batch,
                                promote_batch=self.promote_batch,
                                nr_max_batched_migration=self.batch_cap,
-                               engine=self.engine, mode=self.mode)
+                               engine=self.engine)
 
 
 @dataclass
@@ -168,47 +166,6 @@ def make_keys(n: int) -> np.ndarray:
     return np.sort(splitmix64(np.arange(n, dtype=np.uint64)))
 
 
-def _fast_load(tree: BTree, karr: np.ndarray, value_bytes: int) -> None:
-    """Vectorized bulk load of sorted u64 keys with key-derived values."""
-    pool = tree.pool
-    ps = pool.topology.page_size_bytes
-    cap = tree.leaf_cap
-    n = len(karr)
-    n_leaves = (n + cap - 1) // cap
-    kmat = karr.astype(">u8").view(np.uint8).reshape(n, 8)
-    reps = (value_bytes + 7) // 8
-    counts = np.full(n_leaves, cap, dtype=np.int64)
-    counts[-1] = n - cap * (n_leaves - 1)
-    first = tree._alloc_pid()
-    for _ in range(n_leaves - 1):
-        tree._alloc_pid()
-    pids = np.arange(first, first + n_leaves, dtype=np.int64)
-    sibs = np.append(pids[1:], -1)
-
-    buf = np.zeros((n_leaves, ps), dtype=np.uint8)
-    buf[:, 0] = LEAF
-    buf[:, 2] = counts & 0xFF
-    buf[:, 3] = counts >> 8
-    buf[:, 4:12] = sibs.astype("<i8").view(np.uint8).reshape(n_leaves, 8)
-    for j in range(cap):
-        idx = np.arange(j, n, cap)
-        rows = idx // cap
-        off = HDR + j * LEAF_STRIDE
-        buf[rows, off] = 8
-        buf[rows, off + 2:off + 10] = kmat[idx]
-        voff = off + 2 + KEY_MAX
-        buf[rows, voff] = value_bytes & 0xFF
-        buf[rows, voff + 1] = value_bytes >> 8
-        tiled = np.tile(kmat[idx], (1, reps))[:, :value_bytes]
-        buf[rows, voff + 2:voff + 2 + value_bytes] = tiled
-    for i in range(n_leaves):
-        with pool.fix(int(pids[i]), exclusive=True) as h:
-            h.data[:] = buf[i]
-            h.mark_dirty()
-    seps = [bytes(kmat[i * cap]) for i in range(n_leaves)]
-    tree._build_upper(pids.tolist(), seps)
-
-
 def value_for(key: bytes, value_bytes: int) -> bytes:
     reps = (value_bytes + len(key) - 1) // len(key)
     return (key * reps)[:value_bytes]
@@ -237,12 +194,13 @@ def build(config: BenchConfig) -> tuple[BufferPool, BTree, bytes]:
     pool = BufferPool(config.topology(), config.policy(),
                       seed=config.seed, cost_model=cost)
     tree = BTree(pool)
-    karr = make_keys(config.n_keys)
-    _fast_load(tree, karr, config.value_bytes)
+    blob = make_keys(config.n_keys).astype(">u8").tobytes()
+    keys = [blob[i:i + 8] for i in range(0, len(blob), 8)]
+    tree.bulk_load(keys, [value_for(k, config.value_bytes) for k in keys])
     if config.cold_start:
         pool.evict_all()
     cost.enabled = config.cost_model_on
-    return pool, tree, karr.astype(">u8").tobytes()
+    return pool, tree, blob
 
 
 def _worker(widx: int, config: BenchConfig, tree: BTree, blob: bytes,

@@ -16,9 +16,10 @@ cell count is clamped to the node's capacity and every child and sibling
 pid is range-checked.  A read is only trusted after the pool validates it.
 Splits move keys strictly rightward along the leaf sibling chain and nodes
 are never merged or freed, so a reader that was routed by a stale parent can
-always recover by hopping right.  Writers use top-down exclusive lock
-coupling with preemptive splits, so a parent always has room for the
-separator a child split posts into it.
+always recover by hopping right.  An overwrite descends optimistically and
+locks only the leaf, which is valid if the leaf still holds the key.  Other
+writes use top-down exclusive lock coupling with preemptive splits, so a
+parent always has room for the separator a child split posts into it.
 """
 
 from __future__ import annotations
@@ -120,6 +121,13 @@ def _inner_search(page: bytes, key: bytes, n: int) -> int | None:
     return lo
 
 
+def _check_sizes(klen: int, vlen: int) -> None:
+    if not 1 <= klen <= KEY_MAX:
+        raise ConfigError(f"key length {klen} not in 1..{KEY_MAX}")
+    if vlen > VAL_MAX:
+        raise ConfigError(f"value length {vlen} exceeds {VAL_MAX}")
+
+
 def _put_bytes(view: np.ndarray, off: int, data: bytes) -> None:
     struct.pack_into(f"{len(data)}s", view, off, data)
 
@@ -164,7 +172,7 @@ class BTree:
         for _ in range(32):
             out = self._descend_optimistic(key)
             if out is not _RETRY:
-                return out
+                return out[1]
         return self._lookup_pessimistic(key)
 
     def _probe(self, view: np.ndarray, key: bytes):
@@ -187,6 +195,7 @@ class BTree:
         return _RETRY
 
     def _descend_optimistic(self, key: bytes):
+        """(leaf pid, value or None) for `key`, or _RETRY."""
         pid = self.root_pid
         probe = lambda v: self._probe(v, key)
         for _ in range(64):
@@ -197,9 +206,7 @@ class BTree:
             if kind == "child" or kind == "sib":
                 pid = payload
                 continue
-            if kind == "hit":
-                return payload
-            return None
+            return pid, payload  # a hit's value, or None on a miss
         return _RETRY
 
     def _lookup_pessimistic(self, key: bytes) -> bytes | None:
@@ -229,22 +236,28 @@ class BTree:
         """Insert or overwrite; fixed cells make overwrite always in place."""
         key = bytes(key)
         value = bytes(value)
-        if not 1 <= len(key) <= KEY_MAX:
-            raise ConfigError(f"key length {len(key)} not in 1..{KEY_MAX}")
-        if len(value) > VAL_MAX:
-            raise ConfigError(f"value length {len(value)} exceeds {VAL_MAX}")
+        _check_sizes(len(key), len(value))
+        # An overwrite locks only its leaf: a key lives in exactly one leaf,
+        # so finding it there under the lock is the whole validation.
+        out = self._descend_optimistic(key)
+        if out is not _RETRY and out[1] is not None:
+            with self.pool.fix(out[0], exclusive=True) as h:
+                page = h.data.tobytes()
+                if page[0] == LEAF and _leaf_search(page, key, _u16(page, 2)[0])[1]:
+                    self._leaf_insert(h, page, key, value)
+                    return
         h = self.pool.fix(self.root_pid, exclusive=True)
         ch = None
         try:
             page = h.data.tobytes()
-            if self._node_full(page) and not self._overwrite_hit(page, key):
+            if self._node_full(page):
                 self._split_root(h)
                 page = h.data.tobytes()
             while page[0] == INNER:
                 child_pid = self._route(page, key)
                 ch = self.pool.fix(child_pid, exclusive=True)
                 cpage = ch.data.tobytes()
-                if self._node_full(cpage) and not self._overwrite_hit(cpage, key):
+                if self._node_full(cpage):
                     self._split_child(h, ch, child_pid)
                     ch = None
                     page = h.data.tobytes()
@@ -257,13 +270,6 @@ class BTree:
             if ch is not None:
                 self.pool.unfix(ch)
             self.pool.unfix(h)
-
-    def _overwrite_hit(self, page: bytes, key: bytes) -> bool:
-        """True for a full leaf that already holds `key`: overwrites go in
-        place, so such a leaf needs no split."""
-        if page[0] != LEAF:
-            return False
-        return _leaf_search(page, key, _u16(page, 2)[0])[1]
 
     def _node_full(self, page: bytes) -> bool:
         cap = self.leaf_cap if page[0] == LEAF else self.inner_cap
@@ -414,6 +420,8 @@ class BTree:
             raise ConfigError("keys and values differ in length")
         if not keys:
             return
+        _check_sizes(min(map(len, keys)), 0)
+        _check_sizes(max(map(len, keys)), max(map(len, values)))
         fill = self.leaf_cap if fill is None else fill
         if not 1 <= fill <= self.leaf_cap:
             raise ConfigError(f"fill {fill} not in 1..{self.leaf_cap}")
@@ -425,15 +433,13 @@ class BTree:
             pids.append(self._alloc_pid())
             seps.append(bytes(keys[start]))
         for idx, start in enumerate(range(0, len(keys), fill)):
-            chunk = range(start, min(start + fill, len(keys)))
+            ks, vs = keys[start:start + fill], values[start:start + fill]
             sib = pids[idx + 1] if idx + 1 < len(pids) else -1
             with pool.fix(pids[idx], exclusive=True) as h:
                 view = h.data
-                _HEAD.pack_into(view, 0, LEAF, len(chunk), sib)
-                for i, j in enumerate(chunk):
-                    key, value = bytes(keys[j]), bytes(values[j])
-                    _LEAF_CELL.pack_into(view, HDR + i * LEAF_STRIDE,
-                                         len(key), key, len(value), value)
+                _HEAD.pack_into(view, 0, LEAF, len(ks), sib)
+                _put_bytes(view, HDR, b"".join(
+                    [_LEAF_CELL.pack(len(k), k, len(v), v) for k, v in zip(ks, vs)]))
                 h.mark_dirty()
         self._build_upper(pids, seps)
 

@@ -12,7 +12,6 @@ import sys
 
 from .bench import CSV_COLUMNS, BenchConfig, compare, run
 from .errors import ConfigError
-from .migration import MigrationMode
 
 _SUFFIX = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
 
@@ -65,8 +64,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--promote-batch", type=int, default=None)
     p.add_argument("--batch-cap", type=int, default=None,
                    help="nr_max_batched_migration (default 2x evict batch)")
-    p.add_argument("--mode", choices=[m.value for m in MigrationMode],
-                   default="sync")
     p.add_argument("--engine", choices=["mp2", "legacy", "mbind"],
                    default="mp2")
     p.add_argument("--cost-model", choices=["on", "off"], default="off")
@@ -105,7 +102,7 @@ def _config_from(args: argparse.Namespace, suffix: str = "") -> BenchConfig:
         dr=args.dr, dw=args.dw, rr=args.rr, rw=args.rw,
         evict_batch=args.evict_batch, promote_batch=args.promote_batch,
         batch_cap=getattr(args, "batch_cap" + suffix, None) or args.batch_cap,
-        engine=pick("engine"), mode=MigrationMode(pick("mode")),
+        engine=pick("engine"),
         cost_model_on=args.cost_model == "on",
         shootdown_ns=args.shootdown_ns,
         remote_read_ns=args.remote_read_ns,
@@ -129,8 +126,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="tier sizes for run B (default: same as A)")
     p_cmp.add_argument("--engine-b", dest="engine_b", default=None,
                        choices=["mp2", "legacy", "mbind"])
-    p_cmp.add_argument("--mode-b", dest="mode_b", default=None,
-                       choices=[m.value for m in MigrationMode])
     p_cmp.add_argument("--batch-cap-b", dest="batch_cap_b", type=int,
                        default=None)
 

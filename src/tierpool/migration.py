@@ -34,6 +34,7 @@ ERR_TIER_FULL = -4
 ERR_SKIPPED = -5
 
 DEFAULT_BATCH_CAP = 512
+SYNC_RETRY_LIMIT = 3  # attempts a Sync migration makes on a busy page
 
 
 class MigrationMode(Enum):
@@ -114,12 +115,10 @@ class FailureInjector:
 
 
 class MigrationEngine:
-    def __init__(self, backend: TierBackend, registry: StatsRegistry | None = None,
-                 sync_retry_limit: int = 3):
+    def __init__(self, backend: TierBackend, registry: StatsRegistry | None = None):
         self.backend = backend
         self.cost = backend.cost
         self.registry = registry or backend.registry
-        self.sync_retry_limit = sync_retry_limit
 
     # -- public entry points --------------------------------------------
 
@@ -264,7 +263,7 @@ class MigrationEngine:
             attempts += 1
             if (mode is MigrationMode.ASYNC
                     or (mode is MigrationMode.SYNC_LIGHT and kind == "writeback")
-                    or attempts >= self.sync_retry_limit):
+                    or attempts >= SYNC_RETRY_LIMIT):
                 return ERR_BUSY
             # Sync path: bounded retry, no backoff.
         try:

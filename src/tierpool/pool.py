@@ -17,6 +17,17 @@ Concurrency design, in one place:
   access clears it (an exclusive fix by locking, a shared fix or an
   optimistic read by the UNMARK edge).  Demoted pages land Marked, so
   promotion takes only remote pages accessed since.
+
+Each page movement has one code path:
+
+* Fault: `_fault_in` reads an Evicted page into the tier the dr roll picks
+  and returns with it Locked.  An exclusive fix keeps that lock; a shared
+  fix drops it and takes the shared lock in its own loop.
+* Between memory tiers: `_move` migrates a locked batch with one engine
+  call, retags and unlocks it.  `promote_batch` moves to DRAM and
+  `evict_batch` moves down a tier.
+* To disk: `_evict_to_disk` writes back or drops a locked set, for the
+  clock (`evict_batch`, whose `visit` makes the dw roll) and `evict_all`.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +43,7 @@ from . import state_word as sw
 from .backend import _FRAME_MASK, _FRAME_SHIFT, DISK, TierBackend, TierTopology
 from .cost_model import CostModel
 from .errors import ConfigError, IllegalState, PoolTimeout, TierFull
-from .migration import (MigrationEngine, MigrationMode, MigrationRequest)
+from .migration import MigrationEngine, MigrationRequest
 from .state_word import Edge, StateLayout, StateTable
 from .stats import StatsRegistry
 
@@ -73,7 +84,6 @@ class MigrationPolicy:
     promote_batch: int | None = None
     nr_max_batched_migration: int | None = None
     engine: str = "mp2"
-    mode: MigrationMode = MigrationMode.SYNC
 
     def __post_init__(self):
         for name in ("dr", "dw", "rr", "rw"):
@@ -94,8 +104,6 @@ class MigrationPolicy:
             raise ConfigError("nr_max_batched_migration must be >= 1")
         if self.engine not in _ENGINES:
             raise ConfigError(f"engine must be one of {_ENGINES}")
-        if not isinstance(self.mode, MigrationMode):
-            raise ConfigError("mode must be a MigrationMode")
 
 
 @dataclass
@@ -203,23 +211,32 @@ class BufferPool:
         deadline = time.monotonic() + self.fix_timeout_s
         rolled_rr = False
         found = -1  # the tier a hit counts in, even if the fix promotes it
+        faulted = False  # this fix read the page in and has not locked it yet
         spins = 0
         while True:
             word = self.state.load(pid)
             byte = self.layout.lock_byte(word)
             if byte == sw.EVICTED:
-                if self._fault_in(pid, exclusive, rng, deadline):
-                    return self._fixed(pid, exclusive, "faults")
-                continue  # lost the fault race; someone else is reading it in
-            tier = self.layout.tier(word)
-            if found < 0:
-                found = tier
-            if tier != DRAM and not rolled_rr:
-                # Remote hit: at most one promotion roll per fix call.
-                rolled_rr = True
-                if rng.random() < self.policy.rr:
-                    self.promote_batch(pid, tier, rng=rng)
+                faulted = self._fault_in(pid, rng, deadline)
+                if not faulted:
+                    continue  # lost the fault race; someone else is reading it in
+                if exclusive:
+                    return self._fixed(pid, True, "faults")
+                # Shared: drop the fault's lock and take the shared one below,
+                # which clears a mark or faults again as the page needs.
+                a, _, _ = self.state.try_edge(pid, _UNLOCK_CLEAN)
+                assert a
                 continue
+            tier = self.layout.tier(word)
+            if not faulted:
+                if found < 0:
+                    found = tier
+                if tier != DRAM and not rolled_rr:
+                    # Remote hit: at most one promotion roll per fix call.
+                    rolled_rr = True
+                    if rng.random() < self.policy.rr:
+                        self.promote_batch(pid, tier, rng=rng)
+                    continue
             if exclusive:
                 if byte in (sw.UNLOCKED, sw.MARKED):
                     applied, _, _ = self.state.try_edge(pid, _LOCK_EXCLUSIVE)
@@ -230,6 +247,8 @@ class BufferPool:
                 if byte == sw.UNLOCKED or sw.SHARED_MIN <= byte < sw.SHARED_MAX:
                     applied, _, _ = self.state.try_edge(pid, _LOCK_SHARED)
                     if applied:
+                        if faulted:
+                            return self._fixed(pid, False, "faults")
                         self._charge_access(tier)
                         return self._fixed(pid, False, self._hit_keys[found])
                 elif byte == sw.MARKED:
@@ -275,9 +294,9 @@ class BufferPool:
                                        f"{sw.describe_lock(byte)}")
                 # lost a CAS race against another shared locker; retry
 
-    def _fault_in(self, pid: int, exclusive: bool, rng: random.Random,
-                  deadline: float) -> bool:
-        """Winner path for an Evicted page; returns False if the CAS lost."""
+    def _fault_in(self, pid: int, rng: random.Random, deadline: float) -> bool:
+        """Winner path for an Evicted page: read it into the tier the dr
+        roll picks and return with it Locked; False if the CAS lost."""
         pol = self.policy
         m = self.topology.n_memory_tiers
         target = DRAM
@@ -299,24 +318,6 @@ class BufferPool:
             a, _, _ = self.state.try_edge(pid, _EVICT)
             assert a
             raise
-        if not exclusive:
-            # Downgrade: release exclusive, then take shared (racy but safe).
-            a, _, _ = self.state.try_edge(pid, _UNLOCK_CLEAN)
-            assert a
-            spins = 0
-            while True:
-                applied, old, _ = self.state.try_edge(pid, _LOCK_SHARED)
-                if applied:
-                    return True
-                byte = self.layout.lock_byte(old)
-                if byte == sw.EVICTED:
-                    return False  # evicted in the gap; take the outer loop again
-                if byte == sw.MARKED:
-                    # Marked in the gap (or demoted, which lands Marked):
-                    # nothing else may clear it, so clear it here.
-                    self._unmark(pid, old)
-                    continue
-                spins = self._backoff(spins, deadline, pid)
         return True
 
     def _charge_access(self, tier: int) -> None:
@@ -403,13 +404,17 @@ class BufferPool:
     def evict_batch(self, src_tier: int, dst: int,
                     rng: random.Random | None = None) -> int:
         """One clock pass over src: mark unlocked pages, take marked ones,
-        and move the taken set to `dst` (a memory tier or DISK).  Returns
-        the number of pages that actually moved."""
+        and move the taken set down to `dst` (a lower memory tier or DISK).
+        Returns the number of pages that actually moved."""
         rng = rng or self.rng()
-        if dst != DISK and not 0 <= dst < self.topology.n_memory_tiers:
-            raise ConfigError(f"bad eviction destination {dst}")
+        m = self.topology.n_memory_tiers
+        if dst != DISK and not src_tier < dst < m:
+            raise ConfigError(f"bad eviction destination {dst} from tier {src_tier}")
         layout = self.layout
         state = self.state
+        # dw: a dirty page leaving the last memory tier for disk may be kept
+        # for another lap; keeping it only clears its mark.
+        dw_roll = dst == DISK and src_tier == m - 1
 
         def visit(pid: int) -> bool:
             word = state.load(pid)
@@ -418,6 +423,9 @@ class BufferPool:
                 state.try_edge(pid, _MARK)
                 return False
             if byte == sw.MARKED:
+                if dw_roll and self.dirty[pid] and rng.random() >= self.policy.dw:
+                    self._unmark(pid, word)
+                    return False
                 new = sw.transition(layout, word, _LOCK_EXCLUSIVE)
                 return state.compare_and_swap(pid, word, new)
             return False
@@ -427,20 +435,13 @@ class BufferPool:
             if not taken:
                 return 0
             if dst == DISK:
-                return self._evict_to_disk(src_tier, taken, rng)
-            return self._demote(taken, dst, rng)
+                return self._evict_to_disk(taken)
+            return self._move(taken, dst, rng)
 
-    def _evict_to_disk(self, src_tier: int, taken: list[int],
-                       rng: random.Random) -> int:
-        last = src_tier == self.topology.n_memory_tiers - 1
-        moved = 0
+    def _evict_to_disk(self, taken: list[int]) -> int:
+        """Write back (if dirty) and drop every locked page in `taken`."""
         for pid in taken:
             if self.dirty[pid]:
-                if last and rng.random() >= self.policy.dw:
-                    # Policy skip: leave the page cached for another lap.
-                    a, _, _ = self.state.try_edge(pid, _UNLOCK_CLEAN)
-                    assert a
-                    continue
                 self.backend.write_back(pid)
                 self.dirty[pid] = False
             else:
@@ -448,28 +449,31 @@ class BufferPool:
             a, _, _ = self.state.try_edge(pid, _EVICT)
             assert a
             self.registry.bump("evicted_to_disk")
-            moved += 1
-        return moved
+        return len(taken)
 
-    def _demote(self, taken: list[int], dst: int,
-                rng: random.Random) -> int:
-        # Make room at the destination first; otherwise a full next tier
-        # turns every demotion into a TierFull no-op and nothing drains.
-        self._room_for_batch(dst, len(taken), rng)
-        codes = self._migrate(taken, dst)
+    def _move(self, locked: list[int], dst: int, rng: random.Random) -> int:
+        """Migrate the locked pages to memory tier `dst` with one call,
+        retag and unlock them; returns the number that moved.  A move to
+        DRAM is a promotion; any other is a demotion, whose pages land
+        Marked: dst's clock takes them first, and promote_batch skips them
+        until an access clears the mark."""
+        # Make room at the destination first; otherwise a full tier turns
+        # every move into a TierFull no-op and nothing drains.
+        self._room_for_batch(dst, len(locked), rng)
+        codes = self._migrate(locked, dst)
         to_dst = self._set_tier_edges[dst]
+        demote = dst != DRAM
+        counter = "demoted_pages" if demote else "promoted_pages"
         moved = 0
-        for pid, code in zip(taken, codes):
+        for pid, code in zip(locked, codes):
             if code >= 0:
                 a, _, _ = self.state.try_edge(pid, to_dst)
                 assert a
-                self.registry.bump("demoted_pages")
+                self.registry.bump(counter)
                 moved += 1
             a, _, _ = self.state.try_edge(pid, _UNLOCK_CLEAN)
             assert a
-            if code >= 0:
-                # Land Marked: dst's clock takes it first, and promote_batch
-                # skips it until an access clears the mark.
+            if code >= 0 and demote:
                 self.state.try_edge(pid, _MARK)
         return moved
 
@@ -477,7 +481,7 @@ class BufferPool:
         pol = self.policy
         if pol.engine == "mbind":
             return [self.engine.mbind_single(pid, dst) for pid in pids]
-        req = MigrationRequest(pids, [dst] * len(pids), mode=pol.mode,
+        req = MigrationRequest(pids, [dst] * len(pids),
                                nr_max_batched_migration=pol.nr_max_batched_migration)
         if pol.engine == "mp2":
             return self.engine.move_pages2(req).status
@@ -564,19 +568,7 @@ class BufferPool:
             extra = self.policy.promote_batch - 1
             if extra > 0:
                 locked += self.resident[src_tier].sweep(visit, extra)
-            self._room_for_batch(DRAM, len(locked), rng)
-            codes = self._migrate(locked, DRAM)
-            to_dram = self._set_tier_edges[DRAM]
-            moved = 0
-            for pid, code in zip(locked, codes):
-                if code >= 0:
-                    a, _, _ = self.state.try_edge(pid, to_dram)
-                    assert a
-                    self.registry.bump("promoted_pages")
-                    moved += 1
-                a, _, _ = self.state.try_edge(pid, _UNLOCK_CLEAN)
-                assert a
-            return moved
+            return self._move(locked, DRAM, rng)
 
     def _try_lock_in_tier(self, pid: int, tier: int) -> bool:
         word = self.state.load(pid)
@@ -615,17 +607,8 @@ class BufferPool:
         with self._mig_lock:
             for tier in range(self.topology.n_memory_tiers):
                 for pid in self.resident[tier].snapshot():
-                    if not self._lock_blocking(pid, deadline):
-                        continue
-                    if self.dirty[pid]:
-                        self.backend.write_back(pid)
-                        self.dirty[pid] = False
-                    else:
-                        self.backend.release_frame(pid)
-                    a, _, _ = self.state.try_edge(pid, _EVICT)
-                    assert a
-                    self.registry.bump("evicted_to_disk")
-                    evicted += 1
+                    if self._lock_blocking(pid, deadline):
+                        evicted += self._evict_to_disk([pid])
         return evicted
 
     def _lock_blocking(self, pid: int, deadline: float) -> bool:

@@ -168,6 +168,15 @@ def test_cli_run_writes_csv(tmp_path):
     assert rows[0] == CSV_COLUMNS and len(rows) >= 2
 
 
+def test_cli_mixedtxn_overwrites_complete(capsys):
+    """Overwrites allocate no page, so the CLI's disk sizing suffices."""
+    rc = main(["run", "--tiers", "1024:2048:0", "--dataset", "4096",
+               "--workload", "mixedtxn", "--ops", "3000", "--threads", "2",
+               "--zipf", "0.8", "--rr", "0.1"])
+    assert rc == 0, capsys.readouterr().err
+    assert "3000 ops" in capsys.readouterr().out
+
+
 def test_cli_compare_two_engines(capsys):
     rc = main(["compare", "--tiers", "64:128:0", "--dataset", "256",
                "--ops", "400", "--workload", "randomread",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_pool
+from tierpool import bench
 from tierpool.btree import (_HEAD, _RETRY, HDR, INNER, INNER_STRIDE, KEY_MAX,
                             LEAF, LEAF_STRIDE, VAL_MAX, BTree, _child)
 from tierpool.errors import ConfigError
@@ -51,6 +52,27 @@ def test_overwrite_updates_without_allocating():
     assert t._next_pid == before, "overwrite of a full leaf must not split"
     for i in range(t.leaf_cap):
         assert t.lookup(keyf(i)) == b"new%d" % i
+
+
+def test_overwrites_under_full_inner_nodes_allocate_nothing():
+    """Bulk loading packs inner nodes full; overwriting keys beneath them
+    must lock only the leaf, not split the nodes on the way down."""
+    cfg = bench.BenchConfig(local_pages=256, remote_pages=0,
+                            dataset_pages=1024, workload=bench.MIXED_TXN)
+    pool, t, blob = bench.build(cfg)    # disk sized as the CLI sizes it
+    with pool.fix(t.root_pid, exclusive=False) as h:
+        root = h.data.tobytes()
+    assert root[0] == INNER
+    with pool.fix(_child(root, 0), exclusive=False) as h:
+        assert _HEAD.unpack_from(h.data.tobytes())[1] == t.inner_cap
+    before = t._next_pid
+    rnd = random.Random(5)
+    picked = {rnd.randrange(cfg.n_keys) for _ in range(500)}
+    for i in picked:
+        t.insert(blob[8 * i:8 * i + 8], b"new%d" % i)
+    assert t._next_pid == before
+    for i in picked:
+        assert t.lookup(blob[8 * i:8 * i + 8]) == b"new%d" % i
 
 
 def test_empty_and_max_sized_values():
@@ -158,6 +180,22 @@ def test_bulk_load_validation():
         t.bulk_load([b"a"], [])
     with pytest.raises(ConfigError):
         t.bulk_load([b"a"], [b"v"], fill=0)
+
+
+def test_bulk_load_checks_sizes_before_allocating():
+    t = BTree(big_pool())
+    before = t._next_pid
+    with pytest.raises(ConfigError):
+        t.bulk_load([b"a", b"x" * 70, b"z"], [b"1", b"2", b"3"])
+    with pytest.raises(ConfigError):
+        t.bulk_load([b"a", b"b"], [b"1", b"v" * (VAL_MAX + 1)])
+    with pytest.raises(ConfigError):
+        t.bulk_load([b"", b"b"], [b"1", b"2"])
+    assert t._next_pid == before
+    keys = [keyf(i) for i in range(100)]
+    t.bulk_load(keys, [b"v%d" % i for i in range(100)])
+    assert all(t.lookup(k) == b"v%d" % i for i, k in enumerate(keys))
+    assert t.scan(keyf(98), 5) == [(keyf(98), b"v98"), (keyf(99), b"v99")]
 
 
 def test_allocator_exhaustion_is_config_error():

@@ -102,6 +102,21 @@ def test_shared_fault_survives_a_mark_before_its_downgrade():
     assert s.fixes == 1 and s.faults == 1
 
 
+def test_shared_fault_into_the_remote_tier_stays_there():
+    """A shared fault is a fault, not a remote hit: no rr roll, no hit,
+    no promotion, and the page stays where dr put it."""
+    pol = MigrationPolicy(dr=0.0, rr=1.0)
+    pool = make_pool(8, 8, disk=64, policy=pol)
+    rng = ScriptedRng([0.5])                  # dr roll: 0.5 >= dr, remote
+    h = pool.fix(3, exclusive=False, rng=rng)
+    assert rng.used == 1
+    assert pool.page_state(3) == (1, 1, 0)    # LockedShared(1) in tier 1
+    s = pool.stats()
+    assert s.fixes == 1 and s.faults == 1
+    assert s.hits == [0, 0] and s.promotions == 0
+    pool.unfix(h)
+
+
 def test_shared_lock_counting():
     pool = make_pool(4, disk=16)
     a = pool.fix(0, exclusive=False)
@@ -220,6 +235,24 @@ def test_dw_roll_can_skip_dirty_writeback():
     assert pool.page_state(2)[0] == sw.EVICTED
 
 
+def test_dw_keep_roll_only_unmarks_the_page():
+    pol = MigrationPolicy(dw=0.5, evict_batch=8)
+    pool = make_pool(4, disk=16, policy=pol, trace=True)
+    with pool.fix(2) as h:
+        h.data[0] = 1
+        h.mark_dirty()
+    pool.evict_batch(0, DISK, rng=ScriptedRng([]))      # marks only
+    start = len(pool.state.trace_log)
+    rng = ScriptedRng([0.9])                            # keep roll
+    assert pool.evict_batch(0, DISK, rng=rng) == 0
+    assert rng.used == 1
+    lay = pool.layout
+    assert [(lay.lock_byte(old), lay.lock_byte(new), lay.version(new))
+            for _, old, new in pool.state.trace_log[start:]] == \
+        [(sw.MARKED, sw.UNLOCKED, 1)]
+    assert pool.is_dirty(2) and pool.page_state(2) == (sw.UNLOCKED, 0, 1)
+
+
 # -- eviction and clock --------------------------------------------------
 
 def test_evicted_dirty_page_survives_round_trip():
@@ -232,6 +265,12 @@ def test_evicted_dirty_page_survives_round_trip():
     assert pool.page_state(9)[0] == sw.EVICTED
     with pool.fix(9) as h:
         assert list(h.data[:3]) == [4, 5, 6]
+
+
+def test_evict_batch_rejects_an_upward_move():
+    pool = make_pool(8, 8, disk=64)
+    with pytest.raises(ConfigError):
+        pool.evict_batch(1, DRAM)
 
 
 def test_clock_second_chance():
@@ -294,6 +333,21 @@ def test_evict_all_then_reload():
     for pid in range(6):
         with pool.fix(pid) as h:
             assert h.data[0] == pid
+
+
+def test_evict_all_writes_back_every_dirty_page_whatever_dw():
+    pool = make_pool(8, disk=64, policy=MigrationPolicy(dw=0.0))
+    for pid in range(5):
+        with pool.fix(pid) as h:
+            h.data[0] = pid + 1
+            h.mark_dirty()
+    assert pool.evict_all() == 5
+    assert pool.stats().disk_writes == 5
+    assert not any(pool.is_dirty(p) for p in range(5))
+    assert_coherent(pool)
+    for pid in range(5):
+        with pool.fix(pid) as h:
+            assert h.data[0] == pid + 1
 
 
 # -- promotion -----------------------------------------------------------
