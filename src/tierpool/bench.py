@@ -24,6 +24,7 @@ from .pool import BufferPool, MigrationPolicy, PoolStats
 
 RANDOM_READ = "randomread"
 MIXED_TXN = "mixedtxn"
+VALUE_BYTES = 120  # every stored value's length
 
 CSV_COLUMNS = ["elapsed_s", "ops", "tier0_hits", "tier1_hits", "disk_reads",
                "disk_writes", "migrations", "shootdowns", "time_disk_pct",
@@ -47,7 +48,6 @@ class BenchConfig:
     # workload
     workload: str = RANDOM_READ
     dataset_pages: int = 8192
-    value_bytes: int = 120
     read_fraction: float = 0.7
     zipf_theta: float = 0.8
     threads: int = 1
@@ -196,7 +196,7 @@ def build(config: BenchConfig) -> tuple[BufferPool, BTree, bytes]:
     tree = BTree(pool)
     blob = make_keys(config.n_keys).astype(">u8").tobytes()
     keys = [blob[i:i + 8] for i in range(0, len(blob), 8)]
-    tree.bulk_load(keys, [value_for(k, config.value_bytes) for k in keys])
+    tree.bulk_load(keys, [value_for(k, VALUE_BYTES) for k in keys])
     if config.cold_start:
         pool.evict_all()
     cost.enabled = config.cost_model_on
@@ -226,7 +226,7 @@ def _worker(widx: int, config: BenchConfig, tree: BTree, blob: bytes,
                     tree.lookup(key)
                 else:
                     tree.lookup(key)
-                    tree.insert(key, value_for(key, config.value_bytes))
+                    tree.insert(key, value_for(key, VALUE_BYTES))
             else:
                 idx = rng.randrange(n)
                 key = blob[idx * 8:idx * 8 + 8]

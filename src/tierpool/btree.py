@@ -133,9 +133,9 @@ def _put_bytes(view: np.ndarray, off: int, data: bytes) -> None:
 
 
 class BTree:
-    def __init__(self, pool: BufferPool, root_pid: int = 0, init: bool = True):
+    def __init__(self, pool: BufferPool):
         self.pool = pool
-        self.root_pid = root_pid
+        self.root_pid = 0
         ps = pool.topology.page_size_bytes
         self.leaf_cap = (ps - HDR) // LEAF_STRIDE
         self.inner_cap = (ps - HDR) // INNER_STRIDE
@@ -143,11 +143,10 @@ class BTree:
             raise ConfigError(f"page size {ps} too small for the cell layout")
         self._slots = pool.topology.slots
         self._alloc_lock = threading.Lock()
-        self._next_pid = root_pid + 1
-        if init:
-            with pool.fix(root_pid, exclusive=True) as h:
-                _HEAD.pack_into(h.data, 0, LEAF, 0, -1)
-                h.mark_dirty()
+        self._next_pid = 1
+        with pool.fix(self.root_pid, exclusive=True) as h:
+            _HEAD.pack_into(h.data, 0, LEAF, 0, -1)
+            h.mark_dirty()
 
     def _alloc_pid(self) -> int:
         with self._alloc_lock:
@@ -173,7 +172,7 @@ class BTree:
             out = self._descend_optimistic(key)
             if out is not _RETRY:
                 return out[1]
-        return self._lookup_pessimistic(key)
+        raise ConfigError("lookup could not stabilize")  # pragma: no cover
 
     def _probe(self, view: np.ndarray, key: bytes):
         page = view.tobytes()
@@ -208,27 +207,6 @@ class BTree:
                 continue
             return pid, payload  # a hit's value, or None on a miss
         return _RETRY
-
-    def _lookup_pessimistic(self, key: bytes) -> bytes | None:
-        h = self.pool.fix(self.root_pid, exclusive=False)
-        try:
-            hops = 0
-            while True:
-                out = self._probe(h.data, key)
-                assert out is not _RETRY, "torn read under a shared lock"
-                kind, payload = out
-                if kind == "hit":
-                    return payload
-                if kind == "miss":
-                    return None
-                # Lock the next page before releasing the current one.
-                nxt = self.pool.fix(payload, exclusive=False)
-                self.pool.unfix(h)
-                h = nxt
-                hops += 1
-                assert hops < 10_000, "runaway descent"
-        finally:
-            self.pool.unfix(h)
 
     # -- insert ----------------------------------------------------------
 

@@ -4,6 +4,8 @@ probabilistic tier policy, and batched demotion/promotion.
 Concurrency design, in one place:
 
 * Page safety is the state-word CAS protocol; there is no per-page mutex.
+  Every change of a word is one `StateTable.try_edge` from the word the
+  caller decided on, so a page that moved since then fails the CAS.
 * Each tier's frame pool (backend.pools) records which page sits in which
   frame and drives that tier's clock; it has its own short-lived internal
   lock, which the clock's `visit` callbacks run under.
@@ -51,6 +53,9 @@ DRAM = 0
 
 _ENGINES = ("mp2", "legacy", "mbind")
 
+# A tier at or above this share of used frames runs eviction rounds.
+UTILIZATION_THRESHOLD = 0.95
+
 # Edges are frozen values, so every CAS shares these instead of building one.
 _LOCK_EXCLUSIVE = Edge.lock_exclusive()
 _LOCK_SHARED = Edge.lock_shared()
@@ -79,7 +84,6 @@ class MigrationPolicy:
     dw: float = 1.0
     rr: float = 1.0
     rw: float = 1.0
-    utilization_threshold: float = 0.95
     evict_batch: int = 512
     promote_batch: int | None = None
     nr_max_batched_migration: int | None = None
@@ -90,8 +94,6 @@ class MigrationPolicy:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must be a probability, got {p}")
-        if not 0.0 < self.utilization_threshold <= 1.0:
-            raise ConfigError("utilization_threshold must be in (0, 1]")
         if self.evict_batch < 1:
             raise ConfigError("evict_batch must be >= 1")
         if self.promote_batch is None:
@@ -184,9 +186,6 @@ class BufferPool:
         self._tls = threading.local()
         self._thread_seq = 0
         self._seq_lock = threading.Lock()
-        # Every slot starts life evicted (on disk, version 0).
-        evicted = self.layout.pack(sw.EVICTED, 0, 0)
-        self.state.words[:] = np.uint64(evicted)
 
     # -- rng plumbing ----------------------------------------------------
 
@@ -224,7 +223,7 @@ class BufferPool:
                     return self._fixed(pid, True, "faults")
                 # Shared: drop the fault's lock and take the shared one below,
                 # which clears a mark or faults again as the page needs.
-                a, _, _ = self.state.try_edge(pid, _UNLOCK_CLEAN)
+                a = self.state.try_edge(pid, _UNLOCK_CLEAN)
                 assert a
                 continue
             tier = self.layout.tier(word)
@@ -237,24 +236,21 @@ class BufferPool:
                     if rng.random() < self.policy.rr:
                         self.promote_batch(pid, tier, rng=rng)
                     continue
+            # Each lock edge CASes from `word`, so the tier a hit is charged
+            # to is the tier of the word it locked.
             if exclusive:
-                if byte in (sw.UNLOCKED, sw.MARKED):
-                    applied, _, _ = self.state.try_edge(pid, _LOCK_EXCLUSIVE)
-                    if applied:
-                        self._charge_access(tier)
-                        return self._fixed(pid, True, self._hit_keys[found])
-            else:
-                if byte == sw.UNLOCKED or sw.SHARED_MIN <= byte < sw.SHARED_MAX:
-                    applied, _, _ = self.state.try_edge(pid, _LOCK_SHARED)
-                    if applied:
-                        if faulted:
-                            return self._fixed(pid, False, "faults")
-                        self._charge_access(tier)
-                        return self._fixed(pid, False, self._hit_keys[found])
-                elif byte == sw.MARKED:
-                    # No Marked->Shared edge exists; clear the mark, retry shared.
-                    self._unmark(pid, word)
-                    continue
+                if self.state.try_edge(pid, _LOCK_EXCLUSIVE, word):
+                    self._charge_access(tier)
+                    return self._fixed(pid, True, self._hit_keys[found])
+            elif self.state.try_edge(pid, _LOCK_SHARED, word):
+                if faulted:
+                    return self._fixed(pid, False, "faults")
+                self._charge_access(tier)
+                return self._fixed(pid, False, self._hit_keys[found])
+            elif byte == sw.MARKED:
+                # No Marked->Shared edge exists; clear the mark, retry shared.
+                self.state.try_edge(pid, _UNMARK, word)
+                continue
             spins = self._backoff(spins, deadline, pid)
 
     def _fixed(self, pid: int, exclusive: bool, outcome: str) -> PageHandle:
@@ -264,12 +260,6 @@ class BufferPool:
         self.registry.bump(outcome)
         return PageHandle(self, pid, exclusive)
 
-    def _unmark(self, pid: int, word: int) -> int:
-        """One UNMARK CAS on Marked `word`; returns the word the page now
-        holds if it applied, else `word`."""
-        new = sw.transition(self.layout, word, _UNMARK)
-        return new if self.state.compare_and_swap(pid, word, new) else word
-
     def unfix(self, handle: PageHandle, dirty: bool | None = None) -> None:
         assert not handle._released, "handle unfixed twice"
         handle._released = True
@@ -278,17 +268,14 @@ class BufferPool:
             is_dirty = handle._dirty if dirty is None else (dirty or handle._dirty)
             if is_dirty:
                 self.dirty[pid] = True
-            applied, old, _ = self.state.try_edge(
-                pid, _UNLOCK_DIRTY if is_dirty else _UNLOCK_CLEAN)
-            if not applied:
+            edge = _UNLOCK_DIRTY if is_dirty else _UNLOCK_CLEAN
+            if not self.state.try_edge(pid, edge):
+                byte = self.layout.lock_byte(self.state.load(pid))
                 raise IllegalState(f"exclusive unfix of page {pid} in state "
-                                   f"{sw.describe_lock(self.layout.lock_byte(old))}")
+                                   f"{sw.describe_lock(byte)}")
         else:
-            while True:
-                applied, old, _ = self.state.try_edge(pid, _UNLOCK_SHARED)
-                if applied:
-                    return
-                byte = self.layout.lock_byte(old)
+            while not self.state.try_edge(pid, _UNLOCK_SHARED):
+                byte = self.layout.lock_byte(self.state.load(pid))
                 if not sw.SHARED_MIN <= byte <= sw.SHARED_MAX:
                     raise IllegalState(f"shared unfix of page {pid} in state "
                                        f"{sw.describe_lock(byte)}")
@@ -302,8 +289,7 @@ class BufferPool:
         target = DRAM
         if m > 1 and rng.random() >= pol.dr:
             target = 1
-        applied, _, _ = self.state.try_edge(pid, self._fault_in_edges[target])
-        if not applied:
+        if not self.state.try_edge(pid, self._fault_in_edges[target]):
             return False
         try:
             while True:
@@ -315,7 +301,7 @@ class BufferPool:
                     continue  # a concurrent fault took the frame; evict again
         except BaseException:
             # Roll the word back so the page is not left locked forever.
-            a, _, _ = self.state.try_edge(pid, _EVICT)
+            a = self.state.try_edge(pid, _EVICT)
             assert a
             raise
         return True
@@ -363,7 +349,8 @@ class BufferPool:
                 finally:
                     self.unfix(h)
             if byte == sw.MARKED:
-                word = self._unmark(pid, word)  # if the CAS lost, read anyway
+                # Validation accepts the cleared mark; if the CAS lost, read anyway.
+                state.try_edge(pid, _UNMARK, word)
             packed0, gen0 = backend.read_token(pid)
             if packed0 >= 0:
                 tier = packed0 >> _FRAME_SHIFT
@@ -396,7 +383,7 @@ class BufferPool:
                 or (now ^ word) & (self.layout.tier_mask | self.layout.version_mask)):
             return False
         if byte == sw.MARKED:
-            self._unmark(pid, now)
+            self.state.try_edge(pid, _UNMARK, now)
         return True
 
     # -- eviction --------------------------------------------------------
@@ -420,14 +407,13 @@ class BufferPool:
             word = state.load(pid)
             byte = layout.lock_byte(word)
             if byte == sw.UNLOCKED:
-                state.try_edge(pid, _MARK)
+                state.try_edge(pid, _MARK, word)
                 return False
             if byte == sw.MARKED:
                 if dw_roll and self.dirty[pid] and rng.random() >= self.policy.dw:
-                    self._unmark(pid, word)
+                    state.try_edge(pid, _UNMARK, word)
                     return False
-                new = sw.transition(layout, word, _LOCK_EXCLUSIVE)
-                return state.compare_and_swap(pid, word, new)
+                return state.try_edge(pid, _LOCK_EXCLUSIVE, word)
             return False
 
         with self._mig_lock:
@@ -446,7 +432,7 @@ class BufferPool:
                 self.dirty[pid] = False
             else:
                 self.backend.release_frame(pid)
-            a, _, _ = self.state.try_edge(pid, _EVICT)
+            a = self.state.try_edge(pid, _EVICT)
             assert a
             self.registry.bump("evicted_to_disk")
         return len(taken)
@@ -467,11 +453,11 @@ class BufferPool:
         moved = 0
         for pid, code in zip(locked, codes):
             if code >= 0:
-                a, _, _ = self.state.try_edge(pid, to_dst)
+                a = self.state.try_edge(pid, to_dst)
                 assert a
                 self.registry.bump(counter)
                 moved += 1
-            a, _, _ = self.state.try_edge(pid, _UNLOCK_CLEAN)
+            a = self.state.try_edge(pid, _UNLOCK_CLEAN)
             assert a
             if code >= 0 and demote:
                 self.state.try_edge(pid, _MARK)
@@ -511,7 +497,7 @@ class BufferPool:
         total = 0
         while True:
             util = (pool.capacity - pool.n_free) / pool.capacity
-            if util < pol.utilization_threshold and pool.n_free >= need:
+            if util < UTILIZATION_THRESHOLD and pool.n_free >= need:
                 return total
             moved = self._evict_round(tier, rng)
             total += moved
@@ -552,7 +538,10 @@ class BufferPool:
         state = self.state
 
         with self._mig_lock:
-            if not self._try_lock_in_tier(trigger_pid, src_tier):
+            # The trigger may be Unlocked or Marked; it must still be in src.
+            word = state.load(trigger_pid)
+            if (layout.tier(word) != src_tier
+                    or not state.try_edge(trigger_pid, _LOCK_EXCLUSIVE, word)):
                 return 0
             locked = [trigger_pid]
 
@@ -560,25 +549,13 @@ class BufferPool:
                 if pid == trigger_pid:
                     return False
                 word = state.load(pid)
-                if layout.lock_byte(word) != sw.UNLOCKED:
-                    return False
-                new = sw.transition(layout, word, _LOCK_EXCLUSIVE)
-                return state.compare_and_swap(pid, word, new)
+                return (layout.lock_byte(word) == sw.UNLOCKED
+                        and state.try_edge(pid, _LOCK_EXCLUSIVE, word))
 
             extra = self.policy.promote_batch - 1
             if extra > 0:
                 locked += self.resident[src_tier].sweep(visit, extra)
             return self._move(locked, DRAM, rng)
-
-    def _try_lock_in_tier(self, pid: int, tier: int) -> bool:
-        word = self.state.load(pid)
-        byte = self.layout.lock_byte(word)
-        if byte not in (sw.UNLOCKED, sw.MARKED):
-            return False
-        if self.layout.tier(word) != tier:
-            return False
-        new = sw.transition(self.layout, word, _LOCK_EXCLUSIVE)
-        return self.state.compare_and_swap(pid, word, new)
 
     # -- maintenance -----------------------------------------------------
 
@@ -596,7 +573,7 @@ class BufferPool:
                     self.backend.flush_page(pid)
                     self.dirty[pid] = False
                     flushed += 1
-                a, _, _ = self.state.try_edge(pid, _UNLOCK_CLEAN)
+                a = self.state.try_edge(pid, _UNLOCK_CLEAN)
                 assert a
         return flushed
 
@@ -615,13 +592,10 @@ class BufferPool:
         spins = 0
         while True:
             word = self.state.load(pid)
-            byte = self.layout.lock_byte(word)
-            if byte == sw.EVICTED:
+            if self.layout.lock_byte(word) == sw.EVICTED:
                 return False
-            if byte in (sw.UNLOCKED, sw.MARKED):
-                applied, _, _ = self.state.try_edge(pid, _LOCK_EXCLUSIVE)
-                if applied:
-                    return True
+            if self.state.try_edge(pid, _LOCK_EXCLUSIVE, word):
+                return True
             spins = self._backoff(spins, deadline, pid)
 
     def close(self) -> None:

@@ -8,7 +8,8 @@ Every page slot owns one 64-bit word:
 
 All mutation goes through compare-and-swap on the word, so a page can be
 locked, marked, migrated, and evicted by racing threads without any page-level
-mutex.  Only the edges modeled in :func:`transition` can ever be applied.
+mutex.  :meth:`StateTable.try_edge` is the one way to change a word, and it
+applies only the edges modeled in :func:`transition`.
 """
 
 from __future__ import annotations
@@ -227,6 +228,8 @@ def transition(layout: StateLayout, word: int, edge: Edge) -> int | None:
 class StateTable:
     """Shared array of state words, one per page slot, mutated only via CAS.
 
+    Every slot starts Evicted (on disk, version 0), and `try_edge` is the
+    one entry point that changes a word.
     CAS atomicity is provided by striped locks; plain reads go straight to the
     numpy array and are safe under the GIL.  With `trace=True` every successful
     CAS is appended to `trace_log` inside the critical section, so the per-slot
@@ -238,7 +241,8 @@ class StateTable:
     def __init__(self, slots: int, layout: StateLayout, trace: bool = False):
         self.layout = layout
         self.slots = slots
-        self.words = np.zeros(slots, dtype=np.uint64)
+        self.words = np.full(slots, np.uint64(layout.pack(EVICTED, 0, 0)),
+                             dtype=np.uint64)
         self._stripe_mask = self.STRIPES - 1
         self._stripes = [threading.Lock() for _ in range(self.STRIPES)]
         self.trace_log: list[tuple[int, int, int]] | None = [] if trace else None
@@ -256,19 +260,16 @@ class StateTable:
                 self.trace_log.append((slot, expected, new))
             return True
 
-    def try_edge(self, slot: int, edge: Edge) -> tuple[bool, int, int]:
-        """One CAS attempt of `edge`; returns (applied, observed word, new word).
+    def try_edge(self, slot: int, edge: Edge, word: int | None = None) -> bool:
+        """One CAS of `edge` from `word` (default: the word loaded now).
 
-        A False result means either the edge is illegal from the observed word
-        or the CAS lost a race; callers retry or give up.
+        False means the edge is illegal from `word` or the slot no longer
+        holds it; callers retry or give up.
         """
-        old = self.load(slot)
-        new = transition(self.layout, old, edge)
-        if new is None:
-            return False, old, old
-        if self.compare_and_swap(slot, old, new):
-            return True, old, new
-        return False, old, old
+        if word is None:
+            word = self.load(slot)
+        new = transition(self.layout, word, edge)
+        return new is not None and self.compare_and_swap(slot, word, new)
 
     def set_raw(self, slot: int, word: int) -> None:
         """Unconditional store, for initialization only (not a state-machine edge)."""

@@ -10,6 +10,7 @@ import pytest
 
 import tierpool.state_word as sw
 from conftest import ScriptedRng, assert_coherent, make_pool
+from test_state_word import all_edges
 from tierpool.backend import DISK
 from tierpool.errors import ConfigError, IllegalState, PoolTimeout
 from tierpool.pool import DRAM, MigrationPolicy
@@ -49,21 +50,46 @@ def test_fix_counts_a_page_evicted_before_its_lock_as_a_fault():
     """Hit or fault is decided on the path that returns the handle."""
     pool = make_pool(4, disk=16)
     pool.unfix(pool.fix(1))                   # page 1 now resident
+    real_cas = pool.state.compare_and_swap
+
+    def cas(slot, expected, new):             # fix() saw it resident
+        pool.state.compare_and_swap = real_cas
+        pool.evict_all()
+        return real_cas(slot, expected, new)
+
+    pool.state.compare_and_swap = cas
+    pool.unfix(pool.fix(1))
+    s = pool.stats()
+    assert s.fixes == 2 and s.faults == 2 and s.hits[0] == 0
+    assert s.disk_reads == 2
+
+
+def test_fix_charges_the_tier_of_the_word_it_locked():
+    """A promotion between fix()'s check and its lock must not leave the
+    hit charged to the tier the page left."""
+    pol = MigrationPolicy(dr=0.0, rr=0.0, promote_batch=1)
+    pool = make_pool(8, 8, disk=64, policy=pol, trace=True)
+    pool.unfix(pool.fix(1))                   # faults into the remote tier
+    charged = []
+    pool._charge_access = charged.append
     real_load = pool.state.load
     loads = []
 
     def load(slot):
         loads.append(slot)
-        if len(loads) == 2:                   # after fix() saw it resident
+        if len(loads) == 3:                   # after fix() saw it remote twice
             pool.state.load = real_load
-            pool.evict_all()
+            pool.promote_batch(1, 1)
         return real_load(slot)
 
+    start = len(pool.state.trace_log)
     pool.state.load = load
     pool.unfix(pool.fix(1))
-    s = pool.stats()
-    assert s.fixes == 2 and s.faults == 2 and s.hits[0] == 0
-    assert s.disk_reads == 2
+    lay = pool.layout
+    locked = [lay.tier(new) for slot, old, new in pool.state.trace_log[start:]
+              if lay.lock_byte(old) == sw.UNLOCKED and lay.lock_byte(new) == sw.LOCKED]
+    assert charged == locked[-1:]             # the fix's own lock is the last
+    assert pool.stats().hits == [0, 1]
 
 
 def test_shared_fix_of_a_marked_page_only_unmarks_it():
@@ -88,11 +114,11 @@ def test_shared_fault_survives_a_mark_before_its_downgrade():
     pool = make_pool(4, disk=16, fix_timeout_s=2.0)
     try_edge = pool.state.try_edge
 
-    def clock_in_the_gap(slot, edge):
-        out = try_edge(slot, edge)
-        if edge.kind is sw.EdgeKind.UNLOCK_EXCLUSIVE and out[0]:
-            try_edge(slot, sw.Edge.mark())
-        return out
+    def clock_in_the_gap(slot, edge, *word):
+        applied = try_edge(slot, edge, *word)
+        if edge.kind is sw.EdgeKind.UNLOCK_EXCLUSIVE and applied:
+            assert try_edge(slot, sw.Edge.mark())
+        return applied
 
     pool.state.try_edge = clock_in_the_gap
     h = pool.fix(3, exclusive=False)
@@ -132,8 +158,7 @@ def test_shared_blocks_exclusive_cas():
     pool = make_pool(4, disk=16)
     h = pool.fix(0, exclusive=False)
     from tierpool.state_word import Edge
-    applied, _, _ = pool.state.try_edge(0, Edge.lock_exclusive())
-    assert not applied
+    assert not pool.state.try_edge(0, Edge.lock_exclusive())
     pool.unfix(h)
 
 
@@ -289,7 +314,7 @@ def test_clock_second_chance():
 
 
 def test_maybe_evict_enforces_threshold():
-    pol = MigrationPolicy(utilization_threshold=0.95, evict_batch=16)
+    pol = MigrationPolicy(evict_batch=16)
     pool = make_pool(16, disk=64, policy=pol)
     for pid in range(16):
         pool.unfix(pool.fix(pid))
@@ -433,8 +458,7 @@ def test_optimistic_read_detects_frame_move():
         if len(calls) == 1:
             # racing migration: clean copy to the remote tier mid-read
             pool.backend.retarget_frame(0, 1)
-            a, _, _ = pool.state.try_edge(0, sw.Edge.lock_exclusive())
-            assert a
+            assert pool.state.try_edge(0, sw.Edge.lock_exclusive())
             pool.state.try_edge(0, sw.Edge.set_tier(1))
             pool.state.try_edge(0, sw.Edge.unlock_exclusive(False))
         return int(view[0])
@@ -582,6 +606,66 @@ def test_optimistic_read_never_tears_while_marks_and_shared_locks_move():
 
 
 # -- accounting and coherence -------------------------------------------
+
+def test_every_cas_of_a_churned_pool_is_a_state_machine_edge():
+    """The state machine is the only way the pool changes a word: each
+    logged CAS of a churn through faults, locks, the clock, migration,
+    write-back and eviction is `transition(old, e)` for some edge e."""
+    pol = MigrationPolicy(dr=0.8, dw=0.7, rr=0.3, rw=0.6, evict_batch=4,
+                          promote_batch=4)
+    pool = make_pool(8, 8, disk=64, policy=pol, seed=5, trace=True,
+                     fix_timeout_s=60.0)
+    errors = []
+
+    def worker(widx):
+        rnd = random.Random(widx)
+        try:
+            for _ in range(600):
+                pid = rnd.randrange(48)
+                op = rnd.random()
+                if op < 0.3:
+                    pool.optimistic_read(pid, lambda v: int(v[0]))
+                    continue
+                with pool.fix(pid, exclusive=op < 0.7) as h:
+                    if h.exclusive and rnd.random() < 0.5:
+                        h.data[0] = widx
+                        h.mark_dirty()
+        except Exception as e:       # pragma: no cover - failure reporting
+            errors.append(e)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)               # more interleavings, lost CASes
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(3)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert pool.flush_all() > 0
+    with pool.fix(3) as h:
+        h.mark_dirty()
+    assert pool.evict_all() > 0
+
+    layout = pool.layout
+    edges = all_edges(pool.topology.n_memory_tiers)
+    words = {}
+    kinds = set()
+    for slot, old, new in pool.state.trace_log:
+        assert words.get(slot, layout.pack(sw.EVICTED, 0, 0)) == old, \
+            f"page {slot}: CAS from a word it did not hold"
+        words[slot] = new
+        kind = next((e.kind for e in edges
+                     if sw.transition(layout, old, e) == new), None)
+        assert kind is not None, \
+            f"page {slot}: {layout.unpack(old)} -> {layout.unpack(new)} is no edge"
+        kinds.add(kind)
+    assert kinds == set(sw.EdgeKind)          # the churn took every kind of edge
+    assert_coherent(pool)
+
 
 def test_stats_identity_and_coherence_after_churn():
     pol = MigrationPolicy(dr=0.9, rr=0.3, rw=0.7, evict_batch=8,

@@ -181,14 +181,19 @@ def test_marked_refuses_shared():
 def test_try_edge_semantics():
     layout = StateLayout(2)
     table = StateTable(4, layout)
-    table.set_raw(0, layout.pack(sw.EVICTED, 0, 0))
-    ok, old, new = table.try_edge(0, Edge.fault_in(1))
-    assert ok and layout.lock_byte(old) == sw.EVICTED
-    assert layout.unpack(new) == (sw.LOCKED, 1, 0)
-    assert table.load(0) == new
-    # refused edge leaves the word alone and reports old == new
-    ok, old, new = table.try_edge(0, Edge.mark())
-    assert not ok and old == new == table.load(0)
+    evicted = layout.pack(sw.EVICTED, 0, 0)
+    assert all(table.load(s) == evicted for s in range(4))  # slots start Evicted
+    assert table.try_edge(0, Edge.fault_in(1)) is True
+    assert layout.unpack(table.load(0)) == (sw.LOCKED, 1, 0)
+    # refused edge leaves the word alone
+    assert table.try_edge(0, Edge.mark()) is False
+    assert layout.unpack(table.load(0)) == (sw.LOCKED, 1, 0)
+    # a stale word is refused even where the edge is legal from it
+    assert table.try_edge(0, Edge.fault_in(0), evicted) is False
+    assert layout.unpack(table.load(0)) == (sw.LOCKED, 1, 0)
+    # the word the slot holds is applied
+    assert table.try_edge(0, Edge.unlock_exclusive(True), table.load(0)) is True
+    assert layout.unpack(table.load(0)) == (sw.UNLOCKED, 1, 1)
 
 
 def test_cas_rejects_stale_expected():
