@@ -136,7 +136,9 @@ class FramePool:
         Collects pids for which visit returned True, stopping after
         `max_take` takes or one full lap.  The hand position persists
         across calls.  `visit` runs under the pool's lock and must not
-        call back into this pool.
+        call back into this pool.  The eviction clock
+        (`BufferPool.evict_batch`) is the only caller: promotion fills its
+        batches from the pages that were accessed, not from a sweep.
         """
         taken: list[int] = []
         with self._lock:

@@ -17,8 +17,11 @@ Concurrency design, in one place:
   which acquire the migration lock.
 * The Marked lock byte is the clock's access bit: the clock marks, and any
   access clears it (an exclusive fix by locking, a shared fix or an
-  optimistic read by the UNMARK edge).  Demoted pages land Marked, so
-  promotion takes only remote pages accessed since.
+  optimistic read by the UNMARK edge).  Demoted pages land Marked.
+* Each remote tier keeps a short list of its pages that were accessed but
+  not promoted: a hit whose rr roll missed, or a fault the dr roll placed
+  there.  A promotion batch is its trigger plus what it drains from that
+  list, so no step of a promotion scans the tier.
 
 Each page movement has one code path:
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +82,9 @@ class MigrationPolicy:
         DRAM with this probability.
     dw: a dirty page evicted from the last memory tier is written back with
         this probability, else the victim is skipped for another clock lap.
+    promote_batch: the most pages one promotion moves: the trigger plus
+        remote pages accessed since their last promotion chance (default
+        evict_batch).
     """
 
     dr: float = 1.0
@@ -118,6 +125,7 @@ class PoolStats:
     evictions_to_disk: int
     disk_reads: int
     disk_writes: int
+    bytes_copied: int
     migration_calls: int
     mbind_calls: int
     migrated_pages: int
@@ -179,6 +187,10 @@ class BufferPool:
         self._read_ns = tuple(t.read_latency_ns for t in topology.memory_tiers)
         self._set_tier_edges = tuple(Edge.set_tier(t) for t in range(m))
         self._fault_in_edges = tuple(Edge.fault_in(t) for t in range(m))
+        # Per memory tier, remote pages accessed but not promoted, which the
+        # next promotion out of that tier drains (DRAM's stays empty).
+        self._candidates = tuple(deque(maxlen=self.policy.promote_batch - 1)
+                                 for _ in range(m))
         self.dirty = np.zeros(topology.slots, dtype=bool)
         self.seed = seed
         self.fix_timeout_s = fix_timeout_s
@@ -235,6 +247,8 @@ class BufferPool:
                     rolled_rr = True
                     if rng.random() < self.policy.rr:
                         self.promote_batch(pid, tier, rng=rng)
+                    else:
+                        self._candidates[tier].append(pid)
                     continue
             # Each lock edge CASes from `word`, so the tier a hit is charged
             # to is the tier of the word it locked.
@@ -304,6 +318,8 @@ class BufferPool:
             a = self.state.try_edge(pid, _EVICT)
             assert a
             raise
+        if target != DRAM:
+            self._candidates[target].append(pid)
         return True
 
     def _charge_access(self, tier: int) -> None:
@@ -368,6 +384,8 @@ class BufferPool:
                         rng = rng or self.rng()
                         if rng.random() < self.policy.rr:
                             self.promote_batch(pid, tier, rng=rng)
+                        else:
+                            self._candidates[tier].append(pid)
                     return value
             attempts += 1
             self.registry.bump("optimistic_retries")
@@ -528,9 +546,11 @@ class BufferPool:
 
     def promote_batch(self, trigger_pid: int, src_tier: int,
                       rng: random.Random | None = None) -> int:
-        """Pull `trigger_pid` plus up to promote_batch-1 unlocked neighbors
-        (pages accessed since their demotion, which left them Marked) from
-        `src_tier` into DRAM with one migration call."""
+        """Pull `trigger_pid` plus up to promote_batch-1 pages drained from
+        `src_tier`'s list of accessed-but-unpromoted pages into DRAM with one
+        migration call.  A drained page joins only if it is still Unlocked
+        in `src_tier` (neither moved, evicted, locked, nor marked by the
+        clock since); the rest are dropped."""
         rng = rng or self.rng()
         if not 0 < src_tier < self.topology.n_memory_tiers:
             raise ConfigError(f"bad promotion source {src_tier}")
@@ -544,17 +564,16 @@ class BufferPool:
                     or not state.try_edge(trigger_pid, _LOCK_EXCLUSIVE, word)):
                 return 0
             locked = [trigger_pid]
-
-            def visit(pid: int) -> bool:
+            candidates = self._candidates[src_tier]
+            for _ in range(len(candidates)):  # at most promote_batch - 1
+                pid = candidates.popleft()
                 if pid == trigger_pid:
-                    return False
+                    continue
                 word = state.load(pid)
-                return (layout.lock_byte(word) == sw.UNLOCKED
-                        and state.try_edge(pid, _LOCK_EXCLUSIVE, word))
-
-            extra = self.policy.promote_batch - 1
-            if extra > 0:
-                locked += self.resident[src_tier].sweep(visit, extra)
+                if (layout.tier(word) == src_tier
+                        and layout.lock_byte(word) == sw.UNLOCKED
+                        and state.try_edge(pid, _LOCK_EXCLUSIVE, word)):
+                    locked.append(pid)
             return self._move(locked, DRAM, rng)
 
     # -- maintenance -----------------------------------------------------
@@ -622,6 +641,7 @@ class BufferPool:
             evictions_to_disk=t.get("evicted_to_disk", 0),
             disk_reads=t.get("disk_reads", 0),
             disk_writes=t.get("disk_writes", 0),
+            bytes_copied=t.get("bytes_copied", 0),
             migration_calls=t.get("migration_calls", 0),
             mbind_calls=t.get("mbind_calls", 0),
             migrated_pages=t.get("migrated_pages", 0),

@@ -408,6 +408,128 @@ def test_demoted_pages_land_marked_and_only_accessed_ones_are_promoted():
     assert_coherent(pool)
 
 
+@pytest.mark.parametrize("unmark", ["flush_all", "dw_keep_roll"])
+def test_promotion_does_not_carry_pages_whose_mark_no_access_cleared(unmark):
+    pol = MigrationPolicy(dw=0.5, rr=0.0, evict_batch=8, promote_batch=8)
+    pool = make_pool(8, 8, disk=64, policy=pol)
+    for pid in range(6):
+        with pool.fix(pid) as h:
+            h.mark_dirty()
+    assert pool.evict_batch(0, 1) == 0        # first pass only marks
+    assert pool.evict_batch(0, 1) == 6        # demoted pages land Marked
+    if unmark == "flush_all":
+        assert pool.flush_all() == 6          # lock/unlock clears each mark
+    else:
+        rng = ScriptedRng([0.9] * 6)          # keep every dirty page a lap
+        assert pool.evict_batch(1, DISK, rng=rng) == 0
+        assert rng.used == 6
+    for pid in range(6):
+        assert pool.page_state(pid)[:2] == (sw.UNLOCKED, 1)
+    remote = pool.backend.pools[1]
+    sweeps = []
+    sweep = remote.sweep
+    remote.sweep = lambda visit, max_take: sweeps.append(max_take) or sweep(visit, max_take)
+    assert pool.promote_batch(5, 1) == 1      # the trigger alone
+    assert sweeps == []
+    assert [pool.page_state(pid)[1] for pid in range(6)] == [1, 1, 1, 1, 1, DRAM]
+    assert_coherent(pool)
+
+
+def _faulted_remote(pool, pids):
+    for pid in pids:
+        pool.unfix(pool.fix(pid))             # dr=0: each lands remote, enlisted
+
+
+def test_promotion_skips_a_candidate_evicted_to_disk():
+    pol = MigrationPolicy(dr=0.0, rr=0.0, evict_batch=8, promote_batch=4)
+    pool = make_pool(8, 8, disk=64, policy=pol)
+    _faulted_remote(pool, [0])
+    assert pool.evict_batch(1, DISK) == 0
+    assert pool.evict_batch(1, DISK) == 1
+    _faulted_remote(pool, [1, 2])
+    assert list(pool._candidates[1]) == [0, 1, 2]
+    assert pool.promote_batch(2, 1) == 2      # the trigger and page 1
+    assert pool.page_state(0)[0] == sw.EVICTED
+    assert pool.page_state(1)[1] == DRAM and pool.page_state(2)[1] == DRAM
+    assert not pool._candidates[1]
+    assert_coherent(pool)
+
+
+@pytest.mark.parametrize("exclusive", [True, False])
+def test_promotion_skips_a_locked_candidate(exclusive):
+    pol = MigrationPolicy(dr=0.0, rr=0.0, promote_batch=4)
+    pool = make_pool(8, 8, disk=64, policy=pol)
+    _faulted_remote(pool, [0, 1, 2])
+    h = pool.fix(1, exclusive=exclusive)      # a remote hit enlists page 1 again
+    assert list(pool._candidates[1]) == [1, 2, 1]   # page 0 fell off
+    assert pool.promote_batch(0, 1) == 2      # the trigger and page 2
+    assert pool.page_state(1)[1] == 1
+    pool.unfix(h)
+    assert pool.page_state(1)[:2] == (sw.UNLOCKED, 1)
+    assert_coherent(pool)
+
+
+def test_promotion_skips_a_candidate_the_clock_marked_since():
+    pol = MigrationPolicy(dr=0.0, rr=0.0, evict_batch=8, promote_batch=4)
+    pool = make_pool(8, 8, disk=64, policy=pol)
+    _faulted_remote(pool, [0, 1])
+    assert pool.evict_batch(1, DISK) == 0     # marks both
+    pool.optimistic_read(1, lambda v: int(v[0]))  # an access clears 1's mark
+    assert pool.promote_batch(1, 1) == 1      # page 0 was not accessed since
+    assert pool.page_state(0)[:2] == (sw.MARKED, 1)
+    assert_coherent(pool)
+
+
+def test_promotion_skips_a_candidate_another_trigger_promoted():
+    pol = MigrationPolicy(dr=0.0, rr=0.0, promote_batch=4)
+    pool = make_pool(8, 8, disk=64, policy=pol)
+    _faulted_remote(pool, [0, 1])
+    assert pool.promote_batch(0, 1) == 2      # drops its own entry, carries 1
+
+    class RacingRng(ScriptedRng):
+        """Another fix promotes page 2 while this fix rolls rr for it."""
+
+        def random(self):
+            if self.used == 0:
+                assert pool.promote_batch(2, 1) == 2   # carries page 3
+            return super().random()
+
+    _faulted_remote(pool, [2, 3])
+    pool.unfix(pool.fix(2, rng=RacingRng([0.9])))   # missed: enlists page 2
+    assert pool.page_state(2)[1] == DRAM
+    assert list(pool._candidates[1]) == [2]
+    _faulted_remote(pool, [4, 5])
+    assert pool.promote_batch(5, 1) == 2      # the trigger and page 4
+    assert [pool.page_state(pid)[1] for pid in range(6)] == [DRAM] * 6
+    assert not pool._candidates[1]
+    assert_coherent(pool)
+
+
+def test_promotion_candidates_are_bounded_by_the_batch():
+    pol = MigrationPolicy(dr=0.0, rr=0.0, promote_batch=4)
+    pool = make_pool(16, 16, disk=64, policy=pol)
+    _faulted_remote(pool, range(10))
+    for pid in range(10):
+        pool.optimistic_read(pid, lambda v: int(v[0]))
+        assert len(pool._candidates[1]) == 3
+    assert list(pool._candidates[1]) == [7, 8, 9]
+    assert pool.promote_batch(0, 1) == 4
+    assert [pid for pid in range(10) if pool.page_state(pid)[1] == DRAM] == [0, 7, 8, 9]
+    assert not pool._candidates[1]
+    assert_coherent(pool)
+
+
+def test_promote_batch_of_one_enlists_nothing():
+    pol = MigrationPolicy(dr=0.0, rr=0.0, promote_batch=1)
+    pool = make_pool(8, 8, disk=64, policy=pol)
+    _faulted_remote(pool, range(4))
+    pool.optimistic_read(1, lambda v: int(v[0]))
+    pool.unfix(pool.fix(2))
+    assert not pool._candidates[1]
+    assert pool.promote_batch(0, 1) == 1
+    assert_coherent(pool)
+
+
 def test_promote_batch_needs_unlocked_trigger():
     pol = MigrationPolicy(dr=0.0, rr=0.0)
     pool = make_pool(8, 8, disk=64, policy=pol)
@@ -700,6 +822,38 @@ def test_stats_identity_and_coherence_after_churn():
     assert sum(pool.stats().hits) + t["faults"] == \
         t["fixes"] + t.get("optimistic_reads", 0)
     assert_coherent(pool)
+
+
+# PoolStats fields whose name differs from the registry counter they show.
+_STAT_FIELDS = {"promoted_pages": "promotions", "demoted_pages": "demotions",
+                "evicted_to_disk": "evictions_to_disk"}
+
+
+@pytest.mark.parametrize("engine", ["mp2", "legacy", "mbind"])
+def test_every_registry_counter_of_a_churned_pool_is_in_pool_stats(engine):
+    pol = MigrationPolicy(dr=0.7, dw=0.6, rr=0.4, rw=0.7, evict_batch=4,
+                          promote_batch=4, engine=engine)
+    pool = make_pool(8, 8, disk=128, policy=pol, seed=5)
+    rnd = random.Random(5)
+    for _ in range(1500):
+        pid = rnd.randrange(64)
+        if rnd.random() < 0.5:
+            with pool.fix(pid) as h:
+                if rnd.random() < 0.5:
+                    h.mark_dirty()
+        else:
+            pool.optimistic_read(pid, lambda v: int(v[0]))
+    pool.flush_all()
+    pool.evict_all()
+    t = pool.registry.total()
+    s = pool.stats()
+    assert {"bytes_copied", "disk_writes", "promoted_pages",
+            "demoted_pages", "evicted_to_disk", "hits_t1"} <= t.keys()
+    for key, value in t.items():
+        if key.startswith("hits_t"):
+            assert s.hits[int(key[len("hits_t"):])] == value, key
+        else:
+            assert getattr(s, _STAT_FIELDS.get(key, key)) == value, key
 
 
 def test_concurrent_mixed_workload():
