@@ -7,19 +7,21 @@ Layout (page size P, header 16 bytes):
     leaf cells    stride 196: klen u16, key[64], vlen u16, value[128]
     inner cells   stride 74:  klen u16, key[64], child i64
 
-Every probe parses its node from one immutable `bytes` snapshot of the page
+Nodes are parsed from one immutable `bytes` snapshot of the page
 (`ndarray.tobytes()`) with precompiled `struct` formats and plain slices;
 writers parse a snapshot of the page they hold locked and write each cell
-with one `pack_into`.  Readers descend with optimistic page reads and parse
-defensively (a torn page may yield nonsense but never an exception): the
-cell count is clamped to the node's capacity and every child and sibling
-pid is range-checked.  A read is only trusted after the pool validates it.
-Splits move keys strictly rightward along the leaf sibling chain and nodes
-are never merged or freed, so a reader that was routed by a stale parent can
-always recover by hopping right.  An overwrite descends optimistically and
-locks only the leaf, which is valid if the leaf still holds the key.  Other
-writes use top-down exclusive lock coupling with preemptive splits, so a
-parent always has room for the separator a child split posts into it.
+with one `pack_into`.  Readers descend with optimistic page reads whose
+reader only takes the snapshot, so every parse runs after the pool has
+validated it.  A validated snapshot is never torn, because every write to
+a node (creating the root, a leaf insert, both splits, a bulk load) happens
+under an exclusive fix that marks the page dirty, and the dirty unlock
+bumps the version that validation checks.  Splits move keys strictly
+rightward along the leaf sibling chain and nodes are never merged or freed,
+so a reader that was routed by a stale parent can always recover by
+hopping right.  An overwrite descends optimistically and locks only the
+leaf, which is valid if the leaf still holds the key.  Other writes use
+top-down exclusive lock coupling with preemptive splits, so a parent
+always has room for the separator a child split posts into it.
 """
 
 from __future__ import annotations
@@ -48,36 +50,24 @@ HDR = _HEAD.size
 LEAF_STRIDE = _LEAF_CELL.size
 INNER_STRIDE = _INNER_CELL.size
 
-_RETRY = object()
-
-
-# -- parsing a page snapshot (safe on torn bytes) ----------------------------
+# -- parsing a page snapshot ------------------------------------------------
 #
 # `page` is always `bytes`: slices of a numpy view compare element by
 # element, so `view[a:b] <= key` would not be a byte-string comparison.
 
-def _leaf_key(page: bytes, i: int) -> bytes | None:
+def _leaf_key(page: bytes, i: int) -> bytes:
     off = HDR + i * LEAF_STRIDE
-    klen, = _u16(page, off)
-    if not 1 <= klen <= KEY_MAX:
-        return None
-    return page[off + 2:off + 2 + klen]
+    return page[off + 2:off + 2 + _u16(page, off)[0]]
 
 
-def _leaf_value(page: bytes, i: int) -> bytes | None:
+def _leaf_value(page: bytes, i: int) -> bytes:
     off = HDR + i * LEAF_STRIDE + 2 + KEY_MAX
-    vlen, = _u16(page, off)
-    if vlen > VAL_MAX:
-        return None
-    return page[off + 2:off + 2 + vlen]
+    return page[off + 2:off + 2 + _u16(page, off)[0]]
 
 
-def _inner_key(page: bytes, i: int) -> bytes | None:
+def _inner_key(page: bytes, i: int) -> bytes:
     off = HDR + i * INNER_STRIDE
-    klen, = _u16(page, off)
-    if not 1 <= klen <= KEY_MAX:
-        return None
-    return page[off + 2:off + 2 + klen]
+    return page[off + 2:off + 2 + _u16(page, off)[0]]
 
 
 def _child(page: bytes, i: int) -> int:
@@ -87,38 +77,37 @@ def _child(page: bytes, i: int) -> int:
     return _i64(page, HDR + (i - 1) * INNER_STRIDE + 2 + KEY_MAX)[0]
 
 
-def _leaf_search(page: bytes, key: bytes, n: int) -> tuple[int, bool]:
-    """(first index whose key is >= `key`, whether it equals `key`) among
-    the first `n` cells; a bad key length stops the search unfound."""
-    lo, hi = 0, n
+def _leaf_search(page: bytes, key: bytes) -> tuple[int, bool]:
+    """(first index whose key is >= `key`, whether it equals `key`)."""
+    lo = 0
+    hi = n = _u16(page, 2)[0]
     while lo < hi:
         mid = (lo + hi) >> 1
         off = HDR + mid * LEAF_STRIDE
-        klen, = _u16(page, off)
-        if not 1 <= klen <= KEY_MAX:
-            return lo, False
-        if page[off + 2:off + 2 + klen] < key:
+        if page[off + 2:off + 2 + _u16(page, off)[0]] < key:
             lo = mid + 1
         else:
             hi = mid
     return lo, lo < n and _leaf_key(page, lo) == key
 
 
-def _inner_search(page: bytes, key: bytes, n: int) -> int | None:
-    """Number of the first `n` separators that are <= `key`, which is the
-    index of the child covering it; None on a bad key length."""
-    lo, hi = 0, n
+def _inner_search(page: bytes, key: bytes) -> int:
+    """Number of separators that are <= `key`, which is the index of the
+    child covering it."""
+    lo, hi = 0, _u16(page, 2)[0]
     while lo < hi:
         mid = (lo + hi) >> 1
         off = HDR + mid * INNER_STRIDE
-        klen, = _u16(page, off)
-        if not 1 <= klen <= KEY_MAX:
-            return None
-        if page[off + 2:off + 2 + klen] <= key:
+        if page[off + 2:off + 2 + _u16(page, off)[0]] <= key:
             lo = mid + 1
         else:
             hi = mid
     return lo
+
+
+def _route(page: bytes, key: bytes) -> int:
+    """Child pid covering `key` in an inner node."""
+    return _child(page, _inner_search(page, key))
 
 
 def _check_sizes(klen: int, vlen: int) -> None:
@@ -126,6 +115,11 @@ def _check_sizes(klen: int, vlen: int) -> None:
         raise ConfigError(f"key length {klen} not in 1..{KEY_MAX}")
     if vlen > VAL_MAX:
         raise ConfigError(f"value length {vlen} exceeds {VAL_MAX}")
+
+
+def _snapshot(view: np.ndarray) -> bytes:
+    """The tree's only optimistic reader: parsing waits for validation."""
+    return view.tobytes()
 
 
 def _put_bytes(view: np.ndarray, off: int, data: bytes) -> None:
@@ -156,57 +150,33 @@ class BTree:
             raise ConfigError("btree ran out of page slots")
         return pid
 
-    def _route(self, page: bytes, key: bytes) -> int | None:
-        """Child pid covering `key` in an inner node, or None on bad bytes."""
-        i = _inner_search(page, key, min(_u16(page, 2)[0], self.inner_cap))
-        if i is None:
-            return None
-        child = _child(page, i)
-        return child if 0 <= child < self._slots else None
+    def _leaf(self, key: bytes) -> tuple[int, bytes]:
+        """(pid, validated bytes) of the leaf whose range covers `key`.
+
+        A parent read before a split may route to a leaf whose upper keys
+        have moved right; hop right along the sibling chain then.  Each step
+        goes one level down or one leaf right and pages are never freed, so
+        the walk ends."""
+        read = self.pool.optimistic_read
+        pid = self.root_pid
+        while True:
+            page = read(pid, _snapshot)
+            if page[0] == INNER:
+                pid = _route(page, key)
+                continue
+            _, n, sib = _HEAD.unpack_from(page)
+            if n and sib >= 0 and key > _leaf_key(page, n - 1):
+                pid = sib
+                continue
+            return pid, page
 
     # -- lookup ----------------------------------------------------------
 
     def lookup(self, key: bytes) -> bytes | None:
         key = bytes(key)
-        for _ in range(32):
-            out = self._descend_optimistic(key)
-            if out is not _RETRY:
-                return out[1]
-        raise ConfigError("lookup could not stabilize")  # pragma: no cover
-
-    def _probe(self, view: np.ndarray, key: bytes):
-        page = view.tobytes()
-        t = page[0]
-        if t == INNER:
-            child = self._route(page, key)
-            return _RETRY if child is None else ("child", child)
-        if t == LEAF:
-            _, n, sib = _HEAD.unpack_from(page)
-            n = min(n, self.leaf_cap)
-            i, found = _leaf_search(page, key, n)
-            if found:
-                return ("hit", _leaf_value(page, i))
-            if n > 0:
-                last = _leaf_key(page, n - 1)
-                if last is not None and key > last and 0 <= sib < self._slots:
-                    return ("sib", sib)
-            return ("miss", None)
-        return _RETRY
-
-    def _descend_optimistic(self, key: bytes):
-        """(leaf pid, value or None) for `key`, or _RETRY."""
-        pid = self.root_pid
-        probe = lambda v: self._probe(v, key)
-        for _ in range(64):
-            out = self.pool.optimistic_read(pid, probe)
-            if out is _RETRY:
-                return _RETRY
-            kind, payload = out
-            if kind == "child" or kind == "sib":
-                pid = payload
-                continue
-            return pid, payload  # a hit's value, or None on a miss
-        return _RETRY
+        page = self._leaf(key)[1]
+        i, found = _leaf_search(page, key)
+        return _leaf_value(page, i) if found else None
 
     # -- insert ----------------------------------------------------------
 
@@ -217,11 +187,11 @@ class BTree:
         _check_sizes(len(key), len(value))
         # An overwrite locks only its leaf: a key lives in exactly one leaf,
         # so finding it there under the lock is the whole validation.
-        out = self._descend_optimistic(key)
-        if out is not _RETRY and out[1] is not None:
-            with self.pool.fix(out[0], exclusive=True) as h:
+        pid, page = self._leaf(key)
+        if _leaf_search(page, key)[1]:
+            with self.pool.fix(pid, exclusive=True) as h:
                 page = h.data.tobytes()
-                if page[0] == LEAF and _leaf_search(page, key, _u16(page, 2)[0])[1]:
+                if page[0] == LEAF and _leaf_search(page, key)[1]:
                     self._leaf_insert(h, page, key, value)
                     return
         h = self.pool.fix(self.root_pid, exclusive=True)
@@ -232,7 +202,7 @@ class BTree:
                 self._split_root(h)
                 page = h.data.tobytes()
             while page[0] == INNER:
-                child_pid = self._route(page, key)
+                child_pid = _route(page, key)
                 ch = self.pool.fix(child_pid, exclusive=True)
                 cpage = ch.data.tobytes()
                 if self._node_full(cpage):
@@ -257,7 +227,7 @@ class BTree:
         """Write (key, value) into the locked leaf `h`, whose bytes are `page`."""
         view = h.data
         n = _u16(page, 2)[0]
-        i, found = _leaf_search(page, key, n)
+        i, found = _leaf_search(page, key)
         off = HDR + i * LEAF_STRIDE
         if not found:
             if i < n:  # shift the tail right one stride
@@ -269,7 +239,7 @@ class BTree:
     def _inner_insert(self, view: np.ndarray, sep: bytes, child: int) -> None:
         page = view.tobytes()
         n = _u16(page, 2)[0]
-        i = _inner_search(page, sep, n)
+        i = _inner_search(page, sep)
         off = HDR + i * INNER_STRIDE
         if i < n:
             _put_bytes(view, off + INNER_STRIDE, page[off:HDR + n * INNER_STRIDE])
@@ -333,57 +303,23 @@ class BTree:
         from_key = bytes(from_key)
         if limit <= 0:
             return []
-        for _ in range(32):
-            out = self._scan_once(from_key, limit)
-            if out is not _RETRY:
-                return out
-        raise ConfigError("scan could not stabilize")  # pragma: no cover
-
-    def _probe_scan(self, view: np.ndarray, key: bytes):
-        page = view.tobytes()
-        t = page[0]
-        if t == INNER:
-            child = self._route(page, key)
-            return _RETRY if child is None else ("child", child)
-        if t == LEAF:
+        page = self._leaf(from_key)[1]
+        results: list[tuple[bytes, bytes]] = []
+        # A sibling only ever holds keys above every key of the snapshot
+        # that linked to it, since splits move keys rightward: no key
+        # comes back twice, even if the leaf split after it was read.
+        while True:
             _, n, sib = _HEAD.unpack_from(page)
-            n = min(n, self.leaf_cap)
-            pairs = []
             for klen, k, vlen, v in _LEAF_CELL.iter_unpack(
                     page[HDR:HDR + n * LEAF_STRIDE]):
-                if not 1 <= klen <= KEY_MAX or vlen > VAL_MAX:
-                    return _RETRY
-                pairs.append((k[:klen], v[:vlen]))
-            return ("page", pairs, sib)
-        return _RETRY
-
-    def _scan_once(self, from_key: bytes, limit: int):
-        pid = self.root_pid
-        probe = lambda v: self._probe_scan(v, from_key)
-        for _ in range(64):
-            out = self.pool.optimistic_read(pid, probe)
-            if out is _RETRY:
-                return _RETRY
-            if out[0] == "child":
-                pid = out[1]
-                continue
-            break
-        else:
-            return _RETRY
-        results: list[tuple[bytes, bytes]] = []
-        _, pairs, sib = out
-        while True:
-            for k, v in pairs:
-                if k >= from_key and (not results or k > results[-1][0]):
-                    results.append((k, v))
+                k = k[:klen]
+                if k >= from_key:
+                    results.append((k, v[:vlen]))
                     if len(results) >= limit:
                         return results
             if sib < 0:
                 return results
-            out = self.pool.optimistic_read(sib, probe)
-            if out is _RETRY or out[0] != "page":
-                return _RETRY
-            _, pairs, sib = out
+            page = self.pool.optimistic_read(sib, _snapshot)
 
     # -- bulk load -------------------------------------------------------
 

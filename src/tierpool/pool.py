@@ -245,10 +245,7 @@ class BufferPool:
                 if tier != DRAM and not rolled_rr:
                     # Remote hit: at most one promotion roll per fix call.
                     rolled_rr = True
-                    if rng.random() < self.policy.rr:
-                        self.promote_batch(pid, tier, rng=rng)
-                    else:
-                        self._candidates[tier].append(pid)
+                    self._roll_rr(pid, tier, rng)
                     continue
             # Each lock edge CASes from `word`, so the tier a hit is charged
             # to is the tier of the word it locked.
@@ -322,6 +319,14 @@ class BufferPool:
             self._candidates[target].append(pid)
         return True
 
+    def _roll_rr(self, pid: int, tier: int, rng: random.Random) -> None:
+        """A hit on `pid` in remote `tier`: promote a batch toward DRAM with
+        probability rr, else keep `pid` as a candidate for a later batch."""
+        if rng.random() < self.policy.rr:
+            self.promote_batch(pid, tier, rng=rng)
+        else:
+            self._candidates[tier].append(pid)
+
     def _charge_access(self, tier: int) -> None:
         # Simulated access latency of a memory-tier hit (zero for DRAM by
         # default, nonzero for remote tiers when the cost model is on).
@@ -348,10 +353,12 @@ class BufferPool:
         tolerate torn bytes, because a result is discarded (and retried)
         whenever a writer holds the page at validation, or its version, tier,
         placement, or frame generation moved while it ran; a mark or a shared
-        lock in between does not count.  A read clears the clock's mark.  Locked and
-        Evicted pages fall back to a shared fix.  A validated read of a
-        remote-tier page counts as a hit there and rolls the rr promotion
-        policy, just like a pessimistic fix would.
+        lock in between does not count.  A reader that returns
+        `view.tobytes()` gets a snapshot that is consistent once returned.
+        A read clears the clock's mark.  Locked and Evicted pages fall back
+        to a shared fix.  A validated read of a remote-tier page counts as a
+        hit there and rolls the rr promotion policy, just like a pessimistic
+        fix would.
         """
         state, backend = self.state, self.backend
         attempts = 0
@@ -381,11 +388,7 @@ class BufferPool:
                     sheet[hits] = sheet.get(hits, 0) + 1
                     self._charge_access(tier)
                     if tier != DRAM:
-                        rng = rng or self.rng()
-                        if rng.random() < self.policy.rr:
-                            self.promote_batch(pid, tier, rng=rng)
-                        else:
-                            self._candidates[tier].append(pid)
+                        self._roll_rr(pid, tier, rng or self.rng())
                     return value
             attempts += 1
             self.registry.bump("optimistic_retries")

@@ -59,6 +59,3 @@ class StatsRegistry:
             for k, v in items:
                 out[k] = out.get(k, 0) + v
         return out
-
-    def get(self, key: str) -> int:
-        return self.total().get(key, 0)
