@@ -27,8 +27,11 @@ from .stats import StatsRegistry
 # Destination marker for "the disk tier" in pool/backend APIs.
 DISK = -1
 
+# A placement packs gen << 48 | tier << 40 | frame; see TierBackend.place.
 _FRAME_SHIFT = 40
 _FRAME_MASK = (1 << _FRAME_SHIFT) - 1
+_TIER_MASK = 0xFF
+_GEN_SHIFT = 48
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,10 @@ class FramePool:
     `owner[frame]` holds the pid bound to the frame, or -1 for a free frame.
     It is the tier's only record of residency: membership, occupancy and
     the clock's sweep order all read it.  Each frame carries a generation
-    counter bumped on insert; optimistic readers use it to detect that a
-    frame was recycled under them.
+    counter, bumped exactly when `insert` binds the frame.  The backend
+    folds it into the page's placement right after every bind, so an
+    optimistic reader that sees the same placement twice knows the frame
+    was not recycled under it.
 
     The free list is FIFO.  The clock walks frames, so the order in which
     freed frames are reused decides where a newly bound page sits relative
@@ -101,7 +106,7 @@ class FramePool:
     def __init__(self, capacity_pages: int, page_size: int):
         self.capacity = capacity_pages
         self.arena = np.zeros((capacity_pages, page_size), dtype=np.uint8)
-        self.gen = np.zeros(capacity_pages, dtype=np.int64)
+        self.gen = [0] * capacity_pages
         self.owner = [-1] * capacity_pages
         self._free = deque(range(capacity_pages))
         self._hand = 0
@@ -195,16 +200,18 @@ class TierBackend:
         self.pools = [FramePool(t.capacity_pages, self.page_size)
                       for t in topology.memory_tiers]
         self.disk = SimDisk(topology.slots, self.page_size, disk_path)
-        # Packed placement per slot: -1 on disk, else (tier << 40) | frame.
-        # One word so optimistic readers get an atomic snapshot.
-        self.place = np.full(topology.slots, -1, dtype=np.int64)
+        # Packed placement per slot: -1 on disk, else
+        # gen << 48 | tier << 40 | frame, where gen is the frame's generation
+        # when the page was bound to it.  One int, so an optimistic reader's
+        # token is one load, and a recycled frame gives a different token.
+        self.place = [-1] * topology.slots
 
     # -- placement primitives (caller holds the page exclusively) --------
 
     def bind_and_read(self, pid: int, target: int) -> Placement:
         """Fault a disk-resident page into `target`: allocate, copy, publish."""
         self._check_memory_tier(target)
-        if int(self.place[pid]) != -1:
+        if self.place[pid] != -1:
             raise IllegalState(f"page {pid} is already memory-resident")
         pool = self.pools[target]
         frame = pool.insert(pid)
@@ -216,7 +223,8 @@ class TierBackend:
             sheet["disk_reads"] = sheet.get("disk_reads", 0) + 1
             sheet["bytes_copied"] = sheet.get("bytes_copied", 0) + self.page_size
             self.cost.charge(self.topology.disk.read_latency_ns)
-        self.place[pid] = (target << _FRAME_SHIFT) | frame
+        self.place[pid] = ((pool.gen[frame] << _GEN_SHIFT)
+                           | (target << _FRAME_SHIFT) | frame)
         return Placement(target, frame)
 
     def write_back(self, pid: int) -> None:
@@ -257,30 +265,29 @@ class TierBackend:
         dst_pool.arena[dst_frame] = self.pools[src_tier].arena[src_frame]
         sheet = self.registry.sheet()
         sheet["bytes_copied"] = sheet.get("bytes_copied", 0) + self.page_size
-        self.place[pid] = (target << _FRAME_SHIFT) | dst_frame
+        self.place[pid] = ((dst_pool.gen[dst_frame] << _GEN_SHIFT)
+                           | (target << _FRAME_SHIFT) | dst_frame)
         self.pools[src_tier].remove(src_frame)
         return Placement(target, dst_frame)
 
     # -- accessors -------------------------------------------------------
 
     def placement_of(self, pid: int) -> Placement:
-        packed = int(self.place[pid])
+        packed = self.place[pid]
         if packed < 0:
             return ON_DISK
-        return Placement(packed >> _FRAME_SHIFT, packed & _FRAME_MASK)
+        return Placement((packed >> _FRAME_SHIFT) & _TIER_MASK, packed & _FRAME_MASK)
 
     def page_view(self, pid: int) -> np.ndarray:
         """View of the page's current frame bytes; caller must hold the page."""
         tier, frame = self._resolve(pid)
         return self.pools[tier].arena[frame]
 
-    def read_token(self, pid: int) -> tuple[int, int]:
-        """(packed placement, frame generation) snapshot for optimistic reads."""
-        packed = int(self.place[pid])
-        if packed < 0:
-            return packed, -1
-        tier, frame = packed >> _FRAME_SHIFT, packed & _FRAME_MASK
-        return packed, int(self.pools[tier].gen[frame])
+    def read_token(self, pid: int) -> int:
+        """Snapshot for optimistic reads: the packed placement
+        gen << 48 | tier << 40 | frame, or -1 on disk.  Two equal tokens
+        mean the page sat in the same binding of the same frame."""
+        return self.place[pid]
 
     def free_frames(self, tier: int) -> int:
         return self.pools[tier].n_free
@@ -297,10 +304,10 @@ class TierBackend:
     # -- internals -------------------------------------------------------
 
     def _resolve(self, pid: int) -> tuple[int, int]:
-        packed = int(self.place[pid])
+        packed = self.place[pid]
         if packed < 0:
             raise IllegalState(f"page {pid} is on disk")
-        return packed >> _FRAME_SHIFT, packed & _FRAME_MASK
+        return (packed >> _FRAME_SHIFT) & _TIER_MASK, packed & _FRAME_MASK
 
     def _check_memory_tier(self, tier: int) -> None:
         if not 0 <= tier < len(self.pools):

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import state_word as sw
-from .backend import _FRAME_MASK, _FRAME_SHIFT, DISK, TierBackend, TierTopology
+from .backend import _FRAME_MASK, _FRAME_SHIFT, _TIER_MASK, DISK, TierBackend, TierTopology
 from .cost_model import CostModel
 from .errors import ConfigError, IllegalState, PoolTimeout, TierFull
 from .migration import MigrationEngine, MigrationRequest
@@ -191,7 +191,7 @@ class BufferPool:
         # next promotion out of that tier drains (DRAM's stays empty).
         self._candidates = tuple(deque(maxlen=self.policy.promote_batch - 1)
                                  for _ in range(m))
-        self.dirty = np.zeros(topology.slots, dtype=bool)
+        self.dirty = [False] * topology.slots
         self.seed = seed
         self.fix_timeout_s = fix_timeout_s
         self._mig_lock = threading.RLock()
@@ -360,6 +360,8 @@ class BufferPool:
         hit there and rolls the rr promotion policy, just like a pessimistic
         fix would.
         """
+        if not 0 <= pid < self.topology.slots:
+            raise ConfigError(f"pid {pid} out of range")
         state, backend = self.state, self.backend
         attempts = 0
         while True:
@@ -374,14 +376,13 @@ class BufferPool:
             if byte == sw.MARKED:
                 # Validation accepts the cleared mark; if the CAS lost, read anyway.
                 state.try_edge(pid, _UNMARK, word)
-            packed0, gen0 = backend.read_token(pid)
-            if packed0 >= 0:
-                tier = packed0 >> _FRAME_SHIFT
-                value = reader_fn(backend.pools[tier].arena[packed0 & _FRAME_MASK])
-                packed1, gen1 = backend.read_token(pid)
+            token = backend.read_token(pid)
+            if token >= 0:
+                tier = (token >> _FRAME_SHIFT) & _TIER_MASK
+                value = reader_fn(backend.pools[tier].arena[token & _FRAME_MASK])
+                token1 = backend.read_token(pid)
                 w1 = state.load(pid)
-                if (packed1 == packed0 and gen1 == gen0
-                        and (w1 == word or self._unwritten(pid, word, w1))):
+                if token1 == token and (w1 == word or self._unwritten(pid, word, w1)):
                     sheet = self.registry.sheet()
                     sheet["optimistic_reads"] = sheet.get("optimistic_reads", 0) + 1
                     hits = self._hit_keys[tier]
@@ -627,7 +628,7 @@ class BufferPool:
     # -- introspection ---------------------------------------------------
 
     def is_dirty(self, pid: int) -> bool:
-        return bool(self.dirty[pid])
+        return self.dirty[pid]
 
     def page_state(self, pid: int) -> tuple[int, int, int]:
         return self.layout.unpack(self.state.load(pid))

@@ -14,6 +14,7 @@ applies only the edges modeled in :func:`transition`.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -119,11 +120,18 @@ class EdgeKind(Enum):
 
 @dataclass(frozen=True)
 class Edge:
-    """One requested transition; `dirty` and `tier` only apply to some kinds."""
+    """One requested transition; `dirty` and `tier` only apply to some kinds.
+
+    `_rule` caches the edge's integer rules (see `_compile`) for the tier
+    count of the last `StateTable` that applied it; it is not part of the
+    edge's value.
+    """
 
     kind: EdgeKind
     dirty: bool = False
     tier: int = 0
+
+    _rule = (0, (), 0, False, 0)  # memory_tiers 0 matches no layout
 
     @staticmethod
     def lock_exclusive() -> "Edge":
@@ -225,13 +233,60 @@ def transition(layout: StateLayout, word: int, edge: Edge) -> int | None:
     raise ValueError(f"unknown edge kind {edge.kind!r}")
 
 
+_LOW56 = (1 << 56) - 1
+
+
+@functools.cache
+def _compile(memory_tiers: int, edge: Edge) -> tuple:
+    """`edge` as integer rules for `memory_tiers` tiers, derived from
+    `transition`.
+
+    Returns (memory_tiers, tops, keep, bump, put).  `tops[b]` is the
+    successor lock byte of lock byte b shifted into place, or None where the
+    edge is refused.  The successor of an accepted word is
+    `tops[b] | (word & keep) | put`, plus the version +1 with wrap when
+    `bump`.  That covers the four word updates the state machine makes: keep
+    tier and version, version +1, evict (tier cleared, version +1), and set
+    the tier bits.  Raises if `transition` does something else.
+    """
+    layout = StateLayout(memory_tiers)
+    vmask = layout.version_mask
+    forms = [(_LOW56, False, 0), (layout.tier_mask, True, 0), (0, True, 0)]
+    if 0 <= edge.tier < memory_tiers:
+        forms.append((vmask, False, edge.tier << layout.tier_shift))
+    probes = [(t, v) for t in sorted({0, memory_tiers - 1}) for v in (0, 1, vmask)]
+    tops: list[int | None] = []
+    pairs = []  # (word, successor) for every accepted probe
+    for b in range(256):
+        results = [(w, transition(layout, w, edge))
+                   for w in (layout.pack(b, t, v) for t, v in probes)]
+        accepted = [r for r in results if r[1] is not None]
+        if accepted and len(accepted) != len(results):
+            raise ValueError(f"{edge} from lock byte {b} depends on tier or version")
+        tops.append(accepted[0][1] & ~_LOW56 if accepted else None)
+        pairs += accepted
+    for keep, bump, put in forms:
+        if all(new == tops[w >> 56] | (w & keep) | put
+               | (((w + 1) & vmask) if bump else 0) for w, new in pairs):
+            return memory_tiers, tuple(tops), keep, bump, put
+    raise ValueError(f"{edge} makes a word update the rules cannot express")
+
+
+def _rule(memory_tiers: int, edge: Edge) -> tuple:
+    """The rules of `edge`, kept on the edge object for its next CAS."""
+    rule = _compile(memory_tiers, edge)
+    object.__setattr__(edge, "_rule", rule)
+    return rule
+
+
 class StateTable:
-    """Shared array of state words, one per page slot, mutated only via CAS.
+    """Shared list of state words, one per page slot, mutated only via CAS.
 
     Every slot starts Evicted (on disk, version 0), and `try_edge` is the
-    one entry point that changes a word.
+    one entry point that changes a word; it applies each edge's integer
+    rules, which `transition` specifies.
     CAS atomicity is provided by striped locks; plain reads go straight to the
-    numpy array and are safe under the GIL.  With `trace=True` every successful
+    list of ints and are safe under the GIL.  With `trace=True` every successful
     CAS is appended to `trace_log` inside the critical section, so the per-slot
     subsequence of the log is the true linearization order for that slot.
     """
@@ -241,19 +296,20 @@ class StateTable:
     def __init__(self, slots: int, layout: StateLayout, trace: bool = False):
         self.layout = layout
         self.slots = slots
-        self.words = np.full(slots, np.uint64(layout.pack(EVICTED, 0, 0)),
-                             dtype=np.uint64)
+        self.words = [layout.pack(EVICTED, 0, 0)] * slots
+        self._m = layout.memory_tiers
+        self._vmask = layout.version_mask
         self._stripe_mask = self.STRIPES - 1
         self._stripes = [threading.Lock() for _ in range(self.STRIPES)]
         self.trace_log: list[tuple[int, int, int]] | None = [] if trace else None
 
     def load(self, slot: int) -> int:
-        return int(self.words[slot])
+        return self.words[slot]
 
     def compare_and_swap(self, slot: int, expected: int, new: int) -> bool:
         lock = self._stripes[slot & self._stripe_mask]
         with lock:
-            if int(self.words[slot]) != expected:
+            if self.words[slot] != expected:
                 return False
             self.words[slot] = new
             if self.trace_log is not None:
@@ -267,15 +323,23 @@ class StateTable:
         holds it; callers retry or give up.
         """
         if word is None:
-            word = self.load(slot)
-        new = transition(self.layout, word, edge)
-        return new is not None and self.compare_and_swap(slot, word, new)
+            word = self.words[slot]
+        m, tops, keep, bump, put = edge._rule
+        if m != self._m:
+            m, tops, keep, bump, put = _rule(self._m, edge)
+        top = tops[(word >> 56) & 0xFF]
+        if top is None:
+            return False
+        new = top | (word & keep) | put
+        if bump:
+            new |= (word + 1) & self._vmask
+        return self.compare_and_swap(slot, word, new)
 
     def set_raw(self, slot: int, word: int) -> None:
         """Unconditional store, for initialization only (not a state-machine edge)."""
         lock = self._stripes[slot & self._stripe_mask]
         with lock:
-            old = int(self.words[slot])
+            old = self.words[slot]
             self.words[slot] = word
             if self.trace_log is not None:
                 self.trace_log.append((slot, old, word))

@@ -2,8 +2,6 @@
 
 import random
 
-import numpy as np
-
 from tierpool.backend import Placement, TierSpec, TierTopology
 from tierpool.pool import BufferPool, MigrationPolicy
 
@@ -55,7 +53,7 @@ def assert_coherent(pool, scan_all: bool = True) -> None:
             f"tier {t}: {occ} frames vs {len(snap)} owned"
         assert backend.free_frames(t) + occ == \
             pool.topology.memory_tiers[t].capacity_pages
-    for pid in np.flatnonzero(backend.place >= 0).tolist():
+    for pid in [pid for pid, packed in enumerate(backend.place) if packed >= 0]:
         place = backend.placement_of(pid)
         assert backend.pools[place.tier].owner[place.frame] == pid, \
             f"page {pid} is placed at {place} but that frame has another owner"

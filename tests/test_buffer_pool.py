@@ -591,6 +591,53 @@ def test_optimistic_read_detects_frame_move():
     assert_coherent(pool)
 
 
+def test_optimistic_read_detects_a_rebind_of_the_same_frame():
+    """The page leaves its DRAM frame and comes back to it with an
+    unchanged word while another page wrote there: only the frame's
+    generation in the placement tells the two bindings apart."""
+    pool = make_pool(1, 2, disk=16, policy=MigrationPolicy(rr=0.0))
+    state = pool.state
+
+    def move(pid, tier):
+        assert state.try_edge(pid, sw.Edge.lock_exclusive())
+        pool.backend.retarget_frame(pid, tier)
+        assert state.try_edge(pid, sw.Edge.set_tier(tier))
+        assert state.try_edge(pid, sw.Edge.unlock_exclusive(False))
+
+    with pool.fix(0) as h:
+        h.data[0] = 11
+        h.mark_dirty()
+    word = state.load(0)
+    calls = []
+
+    def reader(view):
+        calls.append(1)
+        if len(calls) > 1:
+            return int(view[0])
+        move(0, 1)
+        with pool.fix(1) as h:  # takes the only DRAM frame, page 0's old one
+            h.data[0] = 99
+            h.mark_dirty()
+        seen = int(view[0])
+        move(1, 1)
+        move(0, 0)  # back into the same frame, the same word
+        assert state.load(0) == word
+        return seen
+
+    assert pool.optimistic_read(0, reader) == 11
+    assert len(calls) == 2
+    assert pool.stats().optimistic_retries == 1
+    assert_coherent(pool)
+
+
+def test_optimistic_read_rejects_out_of_range_pid():
+    pool = make_pool(4, disk=16)
+    pool.unfix(pool.fix(15))  # so -1 cannot reach the last slot's bytes
+    for pid in (-1, 16):
+        with pytest.raises(ConfigError):
+            pool.optimistic_read(pid, lambda v: v.tobytes())
+
+
 def test_optimistic_read_clears_the_mark():
     pool = make_pool(4, disk=16)
     with pool.fix(0) as h:

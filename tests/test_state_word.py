@@ -88,6 +88,39 @@ def test_transition_matches_oracle_exhaustive(m):
                         assert layout.unpack(got) == want, (lock, tier, version, edge)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_try_edge_matches_transition_exhaustive(m):
+    """The integer rules `try_edge` applies agree with `transition` on
+    every word and edge of the oracle test's space, which holds the
+    version wrap (dirty unlock and evict from `version_mask`) and the
+    SET_TIER/FAULT_IN edges to a tier that does not exist."""
+    layout = StateLayout(m)
+    table = StateTable(1, layout)
+    versions = [0, 1, 7, layout.version_mask]
+    for lock in range(256):
+        for tier in range(m):
+            for version in versions:
+                word = layout.pack(lock, tier, version)
+                for edge in all_edges(m):
+                    table.set_raw(0, word)
+                    want = transition(layout, word, edge)
+                    assert table.try_edge(0, edge) is (want is not None), \
+                        (lock, tier, version, edge)
+                    assert table.load(0) == (word if want is None else want), \
+                        (lock, tier, version, edge)
+
+
+def test_one_edge_object_under_two_layouts():
+    """An edge's cached rules follow the table that applies it."""
+    edge = Edge.fault_in(2)
+    small, big = StateTable(1, StateLayout(2)), StateTable(1, StateLayout(3))
+    for _ in range(2):
+        assert not small.try_edge(0, edge)
+        assert big.try_edge(0, edge)
+        assert big.layout.unpack(big.load(0)) == (sw.LOCKED, 2, 0)
+        big.set_raw(0, big.layout.pack(sw.EVICTED, 0, 0))
+
+
 def test_pack_unpack_round_trip_random():
     layout = StateLayout(3)
     rnd = random.Random(7)
