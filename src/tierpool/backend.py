@@ -36,6 +36,13 @@ _GEN_SHIFT = 48
 
 @dataclass(frozen=True)
 class TierSpec:
+    """One tier's size and simulated latencies.
+
+    A memory tier's `read_latency_ns` is charged on each hit there; the
+    disk's read and write latencies on each page read and write-back.  A
+    memory tier's `write_latency_ns` is accepted but never charged.
+    """
+
     capacity_pages: int
     read_latency_ns: int = 0
     write_latency_ns: int = 0

@@ -18,7 +18,6 @@ reentrant for disjoint page sets and takes no global lock.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -99,19 +98,6 @@ class FailureInjector:
                 return None
             rule.times -= 1
         return rule.kind
-
-    @classmethod
-    def random(cls, seed: int, pids: list[int], p_fail: float,
-               kinds: tuple[str, ...] = ("access", "invalid_target", "busy"),
-               transient_busy: bool = False) -> "FailureInjector":
-        rng = random.Random(seed)
-        rules = {}
-        for pid in pids:
-            if rng.random() < p_fail:
-                kind = rng.choice(kinds)
-                times = rng.randint(1, 2) if (transient_busy and kind == "busy") else None
-                rules[pid] = InjectRule(kind, times)
-        return cls(rules)
 
 
 class MigrationEngine:

@@ -555,6 +555,8 @@ class BufferPool:
         migration call.  A drained page joins only if it is still Unlocked
         in `src_tier` (neither moved, evicted, locked, nor marked by the
         clock since); the rest are dropped."""
+        if not 0 <= trigger_pid < self.topology.slots:
+            raise ConfigError(f"pid {trigger_pid} out of range")
         rng = rng or self.rng()
         if not 0 < src_tier < self.topology.n_memory_tiers:
             raise ConfigError(f"bad promotion source {src_tier}")
@@ -628,9 +630,13 @@ class BufferPool:
     # -- introspection ---------------------------------------------------
 
     def is_dirty(self, pid: int) -> bool:
+        if not 0 <= pid < self.topology.slots:
+            raise ConfigError(f"pid {pid} out of range")
         return self.dirty[pid]
 
     def page_state(self, pid: int) -> tuple[int, int, int]:
+        if not 0 <= pid < self.topology.slots:
+            raise ConfigError(f"pid {pid} out of range")
         return self.layout.unpack(self.state.load(pid))
 
     def stats(self) -> PoolStats:

@@ -8,8 +8,9 @@ Every page slot owns one 64-bit word:
 
 All mutation goes through compare-and-swap on the word, so a page can be
 locked, marked, migrated, and evicted by racing threads without any page-level
-mutex.  :meth:`StateTable.try_edge` is the one way to change a word, and it
-applies only the edges modeled in :func:`transition`.
+mutex.  The legal edges are written once, in the rule table `_EDGES`;
+:meth:`StateTable.try_edge` (the one way to change a word) and the pure
+:func:`transition` both apply it.
 """
 
 from __future__ import annotations
@@ -122,9 +123,9 @@ class EdgeKind(Enum):
 class Edge:
     """One requested transition; `dirty` and `tier` only apply to some kinds.
 
-    `_rule` caches the edge's integer rules (see `_compile`) for the tier
-    count of the last `StateTable` that applied it; it is not part of the
-    edge's value.
+    `_rule` caches the edge's integer rules (`_compile` of its `_EDGES`
+    entry) for the tier count of the last `StateTable` that applied it; it
+    is not part of the edge's value.
     """
 
     kind: EdgeKind
@@ -170,106 +171,71 @@ class Edge:
         return Edge(EdgeKind.FAULT_IN, tier=tier)
 
 
-def transition(layout: StateLayout, word: int, edge: Edge) -> int | None:
-    """Pure single-step transition; returns the successor word or None if refused.
-
-    Legal edges:
-      Unlocked -> LockedShared(1), LockedShared(k) -> LockedShared(k +/- 1),
-      Unlocked/Marked -> Locked, Locked -> Unlocked (version +1 iff dirty),
-      Unlocked -> Marked, Marked -> Unlocked (an access clears the clock's
-      mark; version and tier kept), Locked -> Evicted (version +1, tier bits
-      cleared),
-      Locked -> Locked with new tier bits (version kept),
-      Evicted -> Locked in a target tier (fault-in).
-    Everything else is refused.
-    """
-    lock, tier, version = layout.unpack(word)
-    k = edge.kind
-    if k is EdgeKind.LOCK_SHARED:
-        if lock == UNLOCKED:
-            return layout.pack(SHARED_MIN, tier, version)
-        if SHARED_MIN <= lock < SHARED_MAX:
-            return layout.pack(lock + 1, tier, version)
-        return None
-    if k is EdgeKind.LOCK_EXCLUSIVE:
-        if lock == UNLOCKED or lock == MARKED:
-            return layout.pack(LOCKED, tier, version)
-        return None
-    if k is EdgeKind.UNLOCK_SHARED:
-        if SHARED_MIN < lock <= SHARED_MAX:
-            return layout.pack(lock - 1, tier, version)
-        if lock == SHARED_MIN:
-            return layout.pack(UNLOCKED, tier, version)
-        return None
-    if k is EdgeKind.UNLOCK_EXCLUSIVE:
-        if lock == LOCKED:
-            v = (version + 1) & layout.version_mask if edge.dirty else version
-            return layout.pack(UNLOCKED, tier, v)
-        return None
-    if k is EdgeKind.MARK:
-        if lock == UNLOCKED:
-            return layout.pack(MARKED, tier, version)
-        return None
-    if k is EdgeKind.UNMARK:
-        if lock == MARKED:
-            return layout.pack(UNLOCKED, tier, version)
-        return None
-    if k is EdgeKind.EVICT:
-        if lock == LOCKED:
-            return layout.pack(EVICTED, 0, (version + 1) & layout.version_mask)
-        return None
-    if k is EdgeKind.SET_TIER:
-        if not 0 <= edge.tier < layout.memory_tiers:
-            return None
-        if lock == LOCKED:
-            return layout.pack(LOCKED, edge.tier, version)
-        return None
-    if k is EdgeKind.FAULT_IN:
-        if not 0 <= edge.tier < layout.memory_tiers:
-            return None
-        if lock == EVICTED:
-            return layout.pack(LOCKED, edge.tier, version)
-        return None
-    raise ValueError(f"unknown edge kind {edge.kind!r}")
-
-
 _LOW56 = (1 << 56) - 1
+
+_EDGES = {
+    EdgeKind.LOCK_SHARED: ({b: b + 1 for b in range(UNLOCKED, SHARED_MAX)}, "keep"),
+    EdgeKind.UNLOCK_SHARED: ({b: b - 1 for b in range(SHARED_MIN, SHARED_MAX + 1)}, "keep"),
+    EdgeKind.LOCK_EXCLUSIVE: ({UNLOCKED: LOCKED, MARKED: LOCKED}, "keep"),
+    EdgeKind.UNLOCK_EXCLUSIVE: ({LOCKED: UNLOCKED}, "bump"),
+    EdgeKind.MARK: ({UNLOCKED: MARKED}, "keep"),
+    EdgeKind.UNMARK: ({MARKED: UNLOCKED}, "keep"),
+    EdgeKind.EVICT: ({LOCKED: EVICTED}, "evict"),
+    EdgeKind.SET_TIER: ({LOCKED: LOCKED}, "tier"),
+    EdgeKind.FAULT_IN: ({EVICTED: LOCKED}, "tier"),
+}
+"""The page state machine, per edge kind: {lock byte: successor lock byte}
+and the update to the tier and version bits.  The legal edges are
+Unlocked -> LockedShared(1), LockedShared(k) -> LockedShared(k +/- 1),
+LockedShared(1) -> Unlocked, Unlocked/Marked -> Locked, Locked -> Unlocked,
+Unlocked -> Marked, Marked -> Unlocked (an access clears the clock's mark),
+Locked -> Evicted, Locked -> Locked in a new tier (migration) and
+Evicted -> Locked in a target tier (fault-in); everything else is refused.
+"keep" keeps tier and version, "bump" adds 1 to the version with wrap on a
+dirty unlock only, "evict" clears the tier and adds 1 to the version, and
+"tier" sets the tier bits to `edge.tier`, refusing a tier the layout lacks.
+"""
 
 
 @functools.cache
 def _compile(memory_tiers: int, edge: Edge) -> tuple:
-    """`edge` as integer rules for `memory_tiers` tiers, derived from
-    `transition`.
+    """`edge` as integer rules for `memory_tiers` tiers, built from `_EDGES`.
 
     Returns (memory_tiers, tops, keep, bump, put).  `tops[b]` is the
     successor lock byte of lock byte b shifted into place, or None where the
     edge is refused.  The successor of an accepted word is
     `tops[b] | (word & keep) | put`, plus the version +1 with wrap when
-    `bump`.  That covers the four word updates the state machine makes: keep
-    tier and version, version +1, evict (tier cleared, version +1), and set
-    the tier bits.  Raises if `transition` does something else.
+    `bump`.
     """
     layout = StateLayout(memory_tiers)
-    vmask = layout.version_mask
-    forms = [(_LOW56, False, 0), (layout.tier_mask, True, 0), (0, True, 0)]
-    if 0 <= edge.tier < memory_tiers:
-        forms.append((vmask, False, edge.tier << layout.tier_shift))
-    probes = [(t, v) for t in sorted({0, memory_tiers - 1}) for v in (0, 1, vmask)]
-    tops: list[int | None] = []
-    pairs = []  # (word, successor) for every accepted probe
-    for b in range(256):
-        results = [(w, transition(layout, w, edge))
-                   for w in (layout.pack(b, t, v) for t, v in probes)]
-        accepted = [r for r in results if r[1] is not None]
-        if accepted and len(accepted) != len(results):
-            raise ValueError(f"{edge} from lock byte {b} depends on tier or version")
-        tops.append(accepted[0][1] & ~_LOW56 if accepted else None)
-        pairs += accepted
-    for keep, bump, put in forms:
-        if all(new == tops[w >> 56] | (w & keep) | put
-               | (((w + 1) & vmask) if bump else 0) for w, new in pairs):
-            return memory_tiers, tuple(tops), keep, bump, put
-    raise ValueError(f"{edge} makes a word update the rules cannot express")
+    moves, update = _EDGES[edge.kind]
+    if update == "tier" and not 0 <= edge.tier < memory_tiers:
+        moves, update = {}, "keep"
+    elif update == "bump" and not edge.dirty:
+        update = "keep"
+    keep, bump, put = {
+        "keep": (_LOW56, False, 0),
+        "bump": (layout.tier_mask, True, 0),
+        "evict": (0, True, 0),
+        "tier": (layout.version_mask, False, edge.tier << layout.tier_shift),
+    }[update]
+    tops = tuple(moves[b] << 56 if b in moves else None for b in range(256))
+    return memory_tiers, tops, keep, bump, put
+
+
+def transition(layout: StateLayout, word: int, edge: Edge) -> int | None:
+    """Pure single-step transition: the successor word, or None if refused.
+
+    Applies the same rules as `StateTable.try_edge`, without the CAS.
+    """
+    _, tops, keep, bump, put = _compile(layout.memory_tiers, edge)
+    top = tops[(word >> 56) & 0xFF]
+    if top is None:
+        return None
+    new = top | (word & keep) | put
+    if bump:
+        new |= (word + 1) & layout.version_mask
+    return new
 
 
 def _rule(memory_tiers: int, edge: Edge) -> tuple:
@@ -284,7 +250,7 @@ class StateTable:
 
     Every slot starts Evicted (on disk, version 0), and `try_edge` is the
     one entry point that changes a word; it applies each edge's integer
-    rules, which `transition` specifies.
+    rules, compiled from `_EDGES`.
     CAS atomicity is provided by striped locks; plain reads go straight to the
     list of ints and are safe under the GIL.  With `trace=True` every successful
     CAS is appended to `trace_log` inside the critical section, so the per-slot

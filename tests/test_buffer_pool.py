@@ -176,6 +176,24 @@ def test_fix_rejects_out_of_range_pid():
         pool.fix(16)
 
 
+def test_introspection_and_promotion_reject_out_of_range_pid():
+    """A negative pid must not wrap around to the last page."""
+    pool = make_pool(4, remote=4, disk=8,
+                     policy=MigrationPolicy(dr=0.0, rr=0.0))
+    with pool.fix(7) as page:   # dr=0: the fault lands in tier 1
+        page.mark_dirty()
+    before = pool.page_state(7)
+    assert before[1] == 1
+    for pid in (-1, 8):
+        with pytest.raises(ConfigError):
+            pool.promote_batch(pid, 1)
+        with pytest.raises(ConfigError):
+            pool.page_state(pid)
+        with pytest.raises(ConfigError):
+            pool.is_dirty(pid)
+    assert pool.page_state(7) == before
+
+
 def test_fix_timeout_on_held_page():
     pool = make_pool(4, disk=16, fix_timeout_s=0.2)
     h = pool.fix(0)

@@ -401,12 +401,6 @@ def test_request_validation():
         MigrationRequest([1], [0], nr_max_batched_migration=0).validate()
 
 
-def test_injector_random_seeding_is_stable():
-    a = FailureInjector.random(5, list(range(100)), 0.2, ("busy",), 2)
-    b = FailureInjector.random(5, list(range(100)), 0.2, ("busy",), 2)
-    assert set(a.rules) == set(b.rules) and len(a.rules) > 0
-
-
 def test_stats_time_bucket_accumulates():
     be, world = make_world(tiers=(16, 16), n_resident=4)
     eng = MigrationEngine(be)

@@ -89,11 +89,12 @@ def test_transition_matches_oracle_exhaustive(m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_try_edge_matches_transition_exhaustive(m):
-    """The integer rules `try_edge` applies agree with `transition` on
-    every word and edge of the oracle test's space, which holds the
-    version wrap (dirty unlock and evict from `version_mask`) and the
-    SET_TIER/FAULT_IN edges to a tier that does not exist."""
+def test_try_edge_matches_oracle_exhaustive(m):
+    """`try_edge` applies exactly the oracle's edges, and stores the
+    oracle's successor, on every word and edge of the `transition` test's
+    space, which holds the version wrap (dirty unlock and evict from
+    `version_mask`) and the SET_TIER/FAULT_IN edges to a tier that does
+    not exist."""
     layout = StateLayout(m)
     table = StateTable(1, layout)
     versions = [0, 1, 7, layout.version_mask]
@@ -103,11 +104,24 @@ def test_try_edge_matches_transition_exhaustive(m):
                 word = layout.pack(lock, tier, version)
                 for edge in all_edges(m):
                     table.set_raw(0, word)
-                    want = transition(layout, word, edge)
+                    want = oracle(layout, lock, tier, version, edge)
                     assert table.try_edge(0, edge) is (want is not None), \
                         (lock, tier, version, edge)
-                    assert table.load(0) == (word if want is None else want), \
-                        (lock, tier, version, edge)
+                    stored = word if want is None else layout.pack(*want)
+                    assert table.load(0) == stored, (lock, tier, version, edge)
+
+
+def test_word_naming_no_tier_is_applied_like_try_edge():
+    """Tier bits 3 in a 3-tier layout name no tier; `transition` applies an
+    edge to such a word exactly as `try_edge` does."""
+    layout = StateLayout(3)
+    word = (sw.LOCKED << 56) | (3 << layout.tier_shift) | 5
+    edge = Edge.unlock_exclusive(dirty=True)
+    assert layout.unpack(transition(layout, word, edge)) == (sw.UNLOCKED, 3, 6)
+    table = StateTable(1, layout)
+    table.set_raw(0, word)
+    assert table.try_edge(0, edge)
+    assert table.load(0) == transition(layout, word, edge)
 
 
 def test_one_edge_object_under_two_layouts():
