@@ -2,7 +2,7 @@
 migration, clock replacement, optimistic page reads, and a fixed-page B+tree.
 """
 
-from .backend import DISK, Placement, TierBackend, TierSpec, TierTopology
+from .backend import DISK, TierBackend, TierSpec, TierTopology
 from .btree import BTree
 from .cost_model import CostModel
 from .errors import ConfigError, IllegalState, PoolTimeout, TierFull
@@ -24,7 +24,7 @@ __all__ = [
     "ERR_SKIPPED", "ERR_TIER_FULL", "EVICTED", "Edge", "EdgeKind",
     "FailureInjector", "IllegalState", "InjectRule", "LOCKED", "MARKED",
     "MigrationEngine", "MigrationMode", "MigrationOutcome", "MigrationPolicy",
-    "MigrationRequest", "PageHandle", "Placement", "PoolStats", "PoolTimeout",
+    "MigrationRequest", "PageHandle", "PoolStats", "PoolTimeout",
     "SHARED_MAX", "SHARED_MIN", "StateLayout", "StateTable",
     "StatsRegistry", "TierBackend", "TierFull", "TierSpec", "TierTopology",
     "UNLOCKED", "describe_lock", "transition",

@@ -1,18 +1,19 @@
 """Simulated n-tier physical substrate: frame pools, page table, and disk.
 
 The backend owns the truth about where every page physically lives.  Memory
-tiers are byte arenas carved into page frames; the disk is a flat page store
-(in-memory by default, file-backed on request, page i at byte offset
-i * page_size).  The page-slot space is sized by the disk tier, and a page's
-slot index never changes; only the frame backing it moves.
+tiers are byte arenas carved into page frames; the disk is one in-memory
+page array, row i holding page i.  The page-slot space is sized by the disk
+tier, and a page's slot index never changes; only the frame backing it
+moves.
 
 Callers must hold a page's exclusive state-word lock before calling any
-operation that moves or drops its frame; accessors are plain reads.
+operation that moves or drops its frame; accessors are plain reads.  The
+backend keeps no record of moves: the page's state-word version is what
+tells an optimistic reader that its placement changed.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -27,11 +28,9 @@ from .stats import StatsRegistry
 # Destination marker for "the disk tier" in pool/backend APIs.
 DISK = -1
 
-# A placement packs gen << 48 | tier << 40 | frame; see TierBackend.place.
+# A placement packs tier << 40 | frame; see TierBackend.place.
 _FRAME_SHIFT = 40
 _FRAME_MASK = (1 << _FRAME_SHIFT) - 1
-_TIER_MASK = 0xFF
-_GEN_SHIFT = 48
 
 
 @dataclass(frozen=True)
@@ -77,31 +76,12 @@ class TierTopology:
         return self.disk.capacity_pages
 
 
-@dataclass(frozen=True)
-class Placement:
-    """Physical location of a page: a (tier, frame) pair or the disk."""
-
-    tier: int
-    frame: int
-
-    @property
-    def on_disk(self) -> bool:
-        return self.tier == DISK
-
-
-ON_DISK = Placement(DISK, -1)
-
-
 class FramePool:
     """One tier's byte arena, its free frames, and the page bound to each frame.
 
     `owner[frame]` holds the pid bound to the frame, or -1 for a free frame.
     It is the tier's only record of residency: membership, occupancy and
-    the clock's sweep order all read it.  Each frame carries a generation
-    counter, bumped exactly when `insert` binds the frame.  The backend
-    folds it into the page's placement right after every bind, so an
-    optimistic reader that sees the same placement twice knows the frame
-    was not recycled under it.
+    the clock's sweep order all read it.
 
     The free list is FIFO.  The clock walks frames, so the order in which
     freed frames are reused decides where a newly bound page sits relative
@@ -113,7 +93,6 @@ class FramePool:
     def __init__(self, capacity_pages: int, page_size: int):
         self.capacity = capacity_pages
         self.arena = np.zeros((capacity_pages, page_size), dtype=np.uint8)
-        self.gen = [0] * capacity_pages
         self.owner = [-1] * capacity_pages
         self._free = deque(range(capacity_pages))
         self._hand = 0
@@ -128,7 +107,6 @@ class FramePool:
             if not self._free:
                 return None
             frame = self._free.popleft()
-            self.gen[frame] += 1
             self.owner[frame] = pid
             return frame
 
@@ -175,47 +153,25 @@ class FramePool:
             return [pid for pid in self.owner if pid >= 0]
 
 
-class SimDisk:
-    """Flat page store; in-memory by default, file-backed when given a path."""
-
-    def __init__(self, capacity_pages: int, page_size: int, path: str | None = None):
-        self.capacity = capacity_pages
-        self.page_size = page_size
-        self.path = path
-        if path is None:
-            self.store = np.zeros((capacity_pages, page_size), dtype=np.uint8)
-        else:
-            nbytes = capacity_pages * page_size
-            mode = "r+" if os.path.exists(path) and os.path.getsize(path) == nbytes else "w+"
-            self.store = np.memmap(path, dtype=np.uint8, mode=mode,
-                                   shape=(capacity_pages, page_size))
-
-    def flush(self) -> None:
-        if self.path is not None:
-            self.store.flush()
-
-
 class TierBackend:
     """Page table plus per-tier frame pools plus the simulated disk."""
 
     def __init__(self, topology: TierTopology, cost_model: CostModel | None = None,
-                 disk_path: str | None = None, registry: StatsRegistry | None = None):
+                 registry: StatsRegistry | None = None):
         self.topology = topology
         self.cost = cost_model or CostModel()
         self.registry = registry or StatsRegistry()
         self.page_size = topology.page_size_bytes
         self.pools = [FramePool(t.capacity_pages, self.page_size)
                       for t in topology.memory_tiers]
-        self.disk = SimDisk(topology.slots, self.page_size, disk_path)
-        # Packed placement per slot: -1 on disk, else
-        # gen << 48 | tier << 40 | frame, where gen is the frame's generation
-        # when the page was bound to it.  One int, so an optimistic reader's
-        # token is one load, and a recycled frame gives a different token.
+        self.disk = np.zeros((topology.slots, self.page_size), dtype=np.uint8)
+        # Packed placement per slot: -1 on disk, else tier << 40 | frame.
+        # One int, so an optimistic reader's token is one load.
         self.place = [-1] * topology.slots
 
     # -- placement primitives (caller holds the page exclusively) --------
 
-    def bind_and_read(self, pid: int, target: int) -> Placement:
+    def bind_and_read(self, pid: int, target: int) -> None:
         """Fault a disk-resident page into `target`: allocate, copy, publish."""
         self._check_memory_tier(target)
         if self.place[pid] != -1:
@@ -226,13 +182,11 @@ class TierBackend:
             raise TierFull(f"tier {target} has no free frame")
         sheet = self.registry.sheet()
         with self.registry.timed("t_disk_ns"):
-            pool.arena[frame] = self.disk.store[pid]
+            pool.arena[frame] = self.disk[pid]
             sheet["disk_reads"] = sheet.get("disk_reads", 0) + 1
             sheet["bytes_copied"] = sheet.get("bytes_copied", 0) + self.page_size
             self.cost.charge(self.topology.disk.read_latency_ns)
-        self.place[pid] = ((pool.gen[frame] << _GEN_SHIFT)
-                           | (target << _FRAME_SHIFT) | frame)
-        return Placement(target, frame)
+        self.place[pid] = target << _FRAME_SHIFT | frame
 
     def write_back(self, pid: int) -> None:
         """Copy the page's frame to disk, free the frame, mark it disk-resident."""
@@ -250,12 +204,12 @@ class TierBackend:
         tier, frame = self._resolve(pid)
         sheet = self.registry.sheet()
         with self.registry.timed("t_disk_ns"):
-            self.disk.store[pid] = self.pools[tier].arena[frame]
+            self.disk[pid] = self.pools[tier].arena[frame]
             sheet["disk_writes"] = sheet.get("disk_writes", 0) + 1
             sheet["bytes_copied"] = sheet.get("bytes_copied", 0) + self.page_size
             self.cost.charge(self.topology.disk.write_latency_ns)
 
-    def retarget_frame(self, pid: int, target: int) -> Placement:
+    def retarget_frame(self, pid: int, target: int) -> None:
         """Move a memory-resident page to a frame in `target`, slot unchanged.
 
         This is the single-page primitive the migration engine batches.  A
@@ -264,7 +218,7 @@ class TierBackend:
         self._check_memory_tier(target)
         src_tier, src_frame = self._resolve(pid)
         if src_tier == target:
-            return Placement(src_tier, src_frame)
+            return
         dst_pool = self.pools[target]
         dst_frame = dst_pool.insert(pid)
         if dst_frame is None:
@@ -272,18 +226,17 @@ class TierBackend:
         dst_pool.arena[dst_frame] = self.pools[src_tier].arena[src_frame]
         sheet = self.registry.sheet()
         sheet["bytes_copied"] = sheet.get("bytes_copied", 0) + self.page_size
-        self.place[pid] = ((dst_pool.gen[dst_frame] << _GEN_SHIFT)
-                           | (target << _FRAME_SHIFT) | dst_frame)
+        self.place[pid] = target << _FRAME_SHIFT | dst_frame
         self.pools[src_tier].remove(src_frame)
-        return Placement(target, dst_frame)
 
     # -- accessors -------------------------------------------------------
 
-    def placement_of(self, pid: int) -> Placement:
+    def placement_of(self, pid: int) -> tuple[int, int]:
+        """The page's (tier, frame), or (DISK, -1) for a page on disk."""
         packed = self.place[pid]
         if packed < 0:
-            return ON_DISK
-        return Placement((packed >> _FRAME_SHIFT) & _TIER_MASK, packed & _FRAME_MASK)
+            return DISK, -1
+        return packed >> _FRAME_SHIFT, packed & _FRAME_MASK
 
     def page_view(self, pid: int) -> np.ndarray:
         """View of the page's current frame bytes; caller must hold the page."""
@@ -291,9 +244,9 @@ class TierBackend:
         return self.pools[tier].arena[frame]
 
     def read_token(self, pid: int) -> int:
-        """Snapshot for optimistic reads: the packed placement
-        gen << 48 | tier << 40 | frame, or -1 on disk.  Two equal tokens
-        mean the page sat in the same binding of the same frame."""
+        """The packed placement tier << 40 | frame, or -1 on disk, for an
+        optimistic read; the state word, not the token, tells whether the
+        page moved while the read ran."""
         return self.place[pid]
 
     def free_frames(self, tier: int) -> int:
@@ -305,16 +258,13 @@ class TierBackend:
     def utilization(self, tier: int) -> float:
         return len(self.pools[tier]) / self.pools[tier].capacity
 
-    def close(self) -> None:
-        self.disk.flush()
-
     # -- internals -------------------------------------------------------
 
     def _resolve(self, pid: int) -> tuple[int, int]:
         packed = self.place[pid]
         if packed < 0:
             raise IllegalState(f"page {pid} is on disk")
-        return (packed >> _FRAME_SHIFT) & _TIER_MASK, packed & _FRAME_MASK
+        return packed >> _FRAME_SHIFT, packed & _FRAME_MASK
 
     def _check_memory_tier(self, tier: int) -> None:
         if not 0 <= tier < len(self.pools):

@@ -325,13 +325,16 @@ class BTree:
 
     def bulk_load(self, keys: list[bytes], values: list[bytes],
                   fill: int | None = None) -> None:
-        """Build the tree from sorted unique keys (tree must be empty).
+        """Build the tree from sorted unique keys; refuses a tree that is not empty.
 
         Packs `fill` records per leaf (default: full leaves), builds inner
         levels bottom-up, and finally copies the top node into the root PID.
         """
         if len(keys) != len(values):
             raise ConfigError("keys and values differ in length")
+        root = self.pool.optimistic_read(self.root_pid, _snapshot)
+        if _HEAD.unpack_from(root)[:2] != (LEAF, 0):
+            raise ConfigError("bulk_load needs an empty tree")
         if not keys:
             return
         _check_sizes(min(map(len, keys)), 0)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import state_word as sw
-from .backend import _FRAME_MASK, _FRAME_SHIFT, _TIER_MASK, DISK, TierBackend, TierTopology
+from .backend import _FRAME_MASK, _FRAME_SHIFT, DISK, TierBackend, TierTopology
 from .cost_model import CostModel
 from .errors import ConfigError, IllegalState, PoolTimeout, TierFull
 from .migration import MigrationEngine, MigrationRequest
@@ -170,14 +170,13 @@ class PageHandle:
 class BufferPool:
     def __init__(self, topology: TierTopology, policy: MigrationPolicy | None = None,
                  seed: int = 0, cost_model: CostModel | None = None,
-                 disk_path: str | None = None, trace: bool = False,
-                 fix_timeout_s: float = 30.0):
+                 trace: bool = False, fix_timeout_s: float = 30.0):
         self.topology = topology
         self.policy = policy or MigrationPolicy()
         self.layout = StateLayout(topology.n_memory_tiers)
         self.registry = StatsRegistry()
         self.backend = TierBackend(topology, cost_model=cost_model,
-                                   disk_path=disk_path, registry=self.registry)
+                                   registry=self.registry)
         self.engine = MigrationEngine(self.backend, registry=self.registry)
         self.state = StateTable(topology.slots, self.layout, trace=trace)
         # Residency and the clock live in the backend's frame pools.
@@ -351,14 +350,20 @@ class BufferPool:
 
         The view is live memory: reader_fn must be side-effect-free and must
         tolerate torn bytes, because a result is discarded (and retried)
-        whenever a writer holds the page at validation, or its version, tier,
-        placement, or frame generation moved while it ran; a mark or a shared
-        lock in between does not count.  A reader that returns
-        `view.tobytes()` gets a snapshot that is consistent once returned.
-        A read clears the clock's mark.  Locked and Evicted pages fall back
-        to a shared fix.  A validated read of a remote-tier page counts as a
-        hit there and rolls the rr promotion policy, just like a pessimistic
-        fix would.
+        whenever a writer holds the page at validation or its version moved
+        while it ran; a mark or a shared lock in between does not count.  A
+        reader that returns `view.tobytes()` gets a snapshot that is
+        consistent once returned.  A read clears the clock's mark.  Locked
+        and Evicted pages fall back to a shared fix.  A validated read of a
+        remote-tier page counts as a hit there and rolls the rr promotion
+        policy, just like a pessimistic fix would.
+
+        The placement is loaded once, between the two word loads.  A page's
+        frame changes only while its word is Locked, each such change ends
+        with a version bump (SET_TIER or EVICT), and a frame goes to another
+        page only after its last page left it by one of those edges.  So an
+        unchanged version, with neither Locked nor Evicted at validation,
+        means the placement was the page's own for the whole read.
         """
         if not 0 <= pid < self.topology.slots:
             raise ConfigError(f"pid {pid} out of range")
@@ -378,11 +383,10 @@ class BufferPool:
                 state.try_edge(pid, _UNMARK, word)
             token = backend.read_token(pid)
             if token >= 0:
-                tier = (token >> _FRAME_SHIFT) & _TIER_MASK
+                tier = token >> _FRAME_SHIFT
                 value = reader_fn(backend.pools[tier].arena[token & _FRAME_MASK])
-                token1 = backend.read_token(pid)
                 w1 = state.load(pid)
-                if token1 == token and (w1 == word or self._unwritten(pid, word, w1)):
+                if w1 == word or self._unwritten(pid, word, w1):
                     sheet = self.registry.sheet()
                     sheet["optimistic_reads"] = sheet.get("optimistic_reads", 0) + 1
                     hits = self._hit_keys[tier]
@@ -398,11 +402,12 @@ class BufferPool:
     def _unwritten(self, pid: int, word: int, now: int) -> bool:
         """Validation when the word moved from `word` to `now` during an
         optimistic read: the bytes stand unless a writer holds the page or
-        the version or tier changed.  A mark set meanwhile is cleared again,
-        since the read was an access."""
+        the version changed (a tier never changes without a version bump).
+        A mark set meanwhile is cleared again, since the read was an
+        access."""
         byte = self.layout.lock_byte(now)
         if (byte == sw.LOCKED or byte == sw.EVICTED
-                or (now ^ word) & (self.layout.tier_mask | self.layout.version_mask)):
+                or (now ^ word) & self.layout.version_mask):
             return False
         if byte == sw.MARKED:
             self.state.try_edge(pid, _UNMARK, now)
@@ -417,8 +422,8 @@ class BufferPool:
         Returns the number of pages that actually moved."""
         rng = rng or self.rng()
         m = self.topology.n_memory_tiers
-        if dst != DISK and not src_tier < dst < m:
-            raise ConfigError(f"bad eviction destination {dst} from tier {src_tier}")
+        if not 0 <= src_tier < m or dst != DISK and not src_tier < dst < m:
+            raise ConfigError(f"bad eviction from tier {src_tier} to {dst}")
         layout = self.layout
         state = self.state
         # dw: a dirty page leaving the last memory tier for disk may be kept
@@ -507,6 +512,8 @@ class BufferPool:
 
     def maybe_evict(self, tier: int, rng: random.Random | None = None) -> int:
         """Run eviction rounds while `tier` sits at or above the threshold."""
+        if not 0 <= tier < self.topology.n_memory_tiers:
+            raise ConfigError(f"bad eviction source {tier}")
         rng = rng or self.rng()
         deadline = time.monotonic() + self.fix_timeout_s
         return self._make_room(tier, rng, deadline, need=0)
@@ -625,7 +632,6 @@ class BufferPool:
 
     def close(self) -> None:
         self.flush_all()
-        self.backend.close()
 
     # -- introspection ---------------------------------------------------
 

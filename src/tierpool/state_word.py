@@ -4,7 +4,7 @@ Every page slot owns one 64-bit word:
 
     bits 63..56   lock state byte (unlocked / shared count / locked / marked / evicted)
     next bits     memory-tier index, ceil(log2(m)) bits for m memory tiers
-    low bits      version counter (monotone, bumped on dirty unlock and on evict)
+    low bits      version counter (bumped on dirty unlock, migration and evict)
 
 All mutation goes through compare-and-swap on the word, so a page can be
 locked, marked, migrated, and evicted by racing threads without any page-level
@@ -181,7 +181,7 @@ _EDGES = {
     EdgeKind.MARK: ({UNLOCKED: MARKED}, "keep"),
     EdgeKind.UNMARK: ({MARKED: UNLOCKED}, "keep"),
     EdgeKind.EVICT: ({LOCKED: EVICTED}, "evict"),
-    EdgeKind.SET_TIER: ({LOCKED: LOCKED}, "tier"),
+    EdgeKind.SET_TIER: ({LOCKED: LOCKED}, "move"),
     EdgeKind.FAULT_IN: ({EVICTED: LOCKED}, "tier"),
 }
 """The page state machine, per edge kind: {lock byte: successor lock byte}
@@ -192,8 +192,17 @@ Unlocked -> Marked, Marked -> Unlocked (an access clears the clock's mark),
 Locked -> Evicted, Locked -> Locked in a new tier (migration) and
 Evicted -> Locked in a target tier (fault-in); everything else is refused.
 "keep" keeps tier and version, "bump" adds 1 to the version with wrap on a
-dirty unlock only, "evict" clears the tier and adds 1 to the version, and
-"tier" sets the tier bits to `edge.tier`, refusing a tier the layout lacks.
+dirty unlock only, "evict" clears the tier and adds 1 to the version,
+"move" sets the tier bits to `edge.tier` and adds 1 to the version, and
+"tier" sets the tier bits and keeps the version; "move" and "tier" refuse
+a tier the layout lacks, from every word.
+
+The version is the one witness of a page move.  A page's frame changes
+only while its word is Locked, and each such change ends with an edge that
+bumps the version: SET_TIER after a migration, EVICT after a drop to disk.
+FAULT_IN may keep the version because it always follows an EVICT.  So a
+word whose lock byte is neither Locked nor Evicted and whose version is
+unchanged vouches for the placement read in between.
 """
 
 
@@ -209,7 +218,7 @@ def _compile(memory_tiers: int, edge: Edge) -> tuple:
     """
     layout = StateLayout(memory_tiers)
     moves, update = _EDGES[edge.kind]
-    if update == "tier" and not 0 <= edge.tier < memory_tiers:
+    if update in ("move", "tier") and not 0 <= edge.tier < memory_tiers:
         moves, update = {}, "keep"
     elif update == "bump" and not edge.dirty:
         update = "keep"
@@ -217,6 +226,7 @@ def _compile(memory_tiers: int, edge: Edge) -> tuple:
         "keep": (_LOW56, False, 0),
         "bump": (layout.tier_mask, True, 0),
         "evict": (0, True, 0),
+        "move": (0, True, edge.tier << layout.tier_shift),
         "tier": (layout.version_mask, False, edge.tier << layout.tier_shift),
     }[update]
     tops = tuple(moves[b] << 56 if b in moves else None for b in range(256))

@@ -2,7 +2,7 @@
 
 import random
 
-from tierpool.backend import Placement, TierSpec, TierTopology
+from tierpool.backend import DISK, TierSpec, TierTopology
 from tierpool.pool import BufferPool, MigrationPolicy
 
 
@@ -42,7 +42,7 @@ def assert_coherent(pool, scan_all: bool = True) -> None:
                 continue
             assert pid not in seen, f"page {pid} owns two frames"
             seen[pid] = t
-            assert backend.placement_of(pid) == Placement(t, frame), \
+            assert backend.placement_of(pid) == (t, frame), \
                 f"page {pid} owns frame {frame} of tier {t} but is placed " \
                 f"at {backend.placement_of(pid)}"
         assert all(fp.owner[f] == -1 for f in fp._free), \
@@ -54,9 +54,9 @@ def assert_coherent(pool, scan_all: bool = True) -> None:
         assert backend.free_frames(t) + occ == \
             pool.topology.memory_tiers[t].capacity_pages
     for pid in [pid for pid, packed in enumerate(backend.place) if packed >= 0]:
-        place = backend.placement_of(pid)
-        assert backend.pools[place.tier].owner[place.frame] == pid, \
-            f"page {pid} is placed at {place} but that frame has another owner"
+        t, frame = backend.placement_of(pid)
+        assert backend.pools[t].owner[frame] == pid, \
+            f"page {pid} is placed at {(t, frame)} but that frame has another owner"
     for pid, t in seen.items():
         lock, tier, _ = pool.page_state(pid)
         assert lock != sw.EVICTED, f"resident page {pid} has an evicted word"
@@ -68,7 +68,7 @@ def assert_coherent(pool, scan_all: bool = True) -> None:
             lock, _, _ = pool.page_state(pid)
             assert lock == sw.EVICTED, \
                 f"non-resident page {pid} is {sw.describe_lock(lock)}"
-            assert backend.placement_of(pid).on_disk
+            assert backend.placement_of(pid) == (DISK, -1)
             assert not pool.is_dirty(pid), f"evicted page {pid} still dirty"
 
 

@@ -182,6 +182,22 @@ def test_bulk_load_validation():
         t.bulk_load([b"a"], [b"v"], fill=0)
 
 
+def test_bulk_load_refuses_a_tree_that_is_not_empty():
+    """Loading over existing keys would lose them, whether the root is the
+    one leaf or an inner node; the load is refused before any allocation."""
+    t = BTree(big_pool())
+    t.insert(b"a", b"1")
+    loaded = BTree(big_pool())
+    loaded.bulk_load([keyf(i) for i in range(200)], [b"v"] * 200)
+    for tree in (t, loaded):
+        before = tree._next_pid
+        with pytest.raises(ConfigError):
+            tree.bulk_load([b"b", b"c"], [b"2", b"3"])
+        assert tree._next_pid == before
+    assert t.lookup(b"a") == b"1"
+    assert loaded.lookup(keyf(0)) == b"v"
+
+
 def test_bulk_load_checks_sizes_before_allocating():
     t = BTree(big_pool())
     before = t._next_pid

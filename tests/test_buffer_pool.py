@@ -223,7 +223,7 @@ def test_dr_roll_places_faults():
     pool.unfix(h)
     assert pool.page_state(0)[1] == DRAM
     assert pool.page_state(1)[1] == 1
-    assert pool.backend.placement_of(1).tier == 1
+    assert pool.backend.placement_of(1)[0] == 1
 
 
 def test_rr_roll_promotes_remote_hits():
@@ -314,6 +314,22 @@ def test_evict_batch_rejects_an_upward_move():
     pool = make_pool(8, 8, disk=64)
     with pytest.raises(ConfigError):
         pool.evict_batch(1, DRAM)
+
+
+def test_eviction_rejects_a_source_that_is_not_a_memory_tier():
+    """-1 must not stand for the last tier (it moved tier-1 pages into DRAM
+    as promotions), and a tier past the last must not raise IndexError."""
+    pool = make_pool(8, 8, disk=64, policy=MigrationPolicy(dr=0.0, rr=0.0))
+    for pid in range(8):
+        pool.unfix(pool.fix(pid))               # every page lands in tier 1
+    calls = [lambda: pool.maybe_evict(-1), lambda: pool.maybe_evict(2),
+             lambda: pool.evict_batch(-1, DISK), lambda: pool.evict_batch(5, DISK),
+             lambda: pool.evict_batch(-1, DRAM)]
+    for call in calls:
+        with pytest.raises(ConfigError):
+            call()
+    s = pool.stats()
+    assert s.occupancy == [0, 8] and s.promotions == s.evictions_to_disk == 0
 
 
 def test_clock_second_chance():
@@ -416,7 +432,7 @@ def test_demoted_pages_land_marked_and_only_accessed_ones_are_promoted():
     assert pool.evict_batch(0, 1) == 0        # first pass only marks
     assert pool.evict_batch(0, 1) == 6
     for pid in range(6):
-        assert pool.page_state(pid) == (sw.MARKED, 1, 0)
+        assert pool.page_state(pid) == (sw.MARKED, 1, 1)
     for pid in (1, 3):                        # accessed since demotion
         pool.optimistic_read(pid, lambda v: int(v[0]))
     assert pool.promote_batch(5, 1) == 3      # the trigger plus pages 1 and 3
@@ -610,9 +626,10 @@ def test_optimistic_read_detects_frame_move():
 
 
 def test_optimistic_read_detects_a_rebind_of_the_same_frame():
-    """The page leaves its DRAM frame and comes back to it with an
-    unchanged word while another page wrote there: only the frame's
-    generation in the placement tells the two bindings apart."""
+    """The page leaves its DRAM frame and comes back to the same frame
+    while another page wrote there: the placement is the same as before,
+    but each move bumped the page's version, so the word records the
+    moves and the read retries."""
     pool = make_pool(1, 2, disk=16, policy=MigrationPolicy(rr=0.0))
     state = pool.state
 
@@ -638,8 +655,8 @@ def test_optimistic_read_detects_a_rebind_of_the_same_frame():
             h.mark_dirty()
         seen = int(view[0])
         move(1, 1)
-        move(0, 0)  # back into the same frame, the same word
-        assert state.load(0) == word
+        move(0, 0)  # back into the same frame, a new version
+        assert state.load(0) != word
         return seen
 
     assert pool.optimistic_read(0, reader) == 11

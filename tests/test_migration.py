@@ -202,7 +202,7 @@ def run_both(be, world, pages, targets, mode, cap, rules, abort=False):
     assert out.migrated + out.failed == len(pages)
     # backend placements must agree with the model afterwards
     for pid in set(pages):
-        got = be.placement_of(pid).tier
+        got = be.placement_of(pid)[0]
         assert got == world.placement.get(pid, DISK)
     for t in range(n_tiers):
         assert be.free_frames(t) == world.free[t]

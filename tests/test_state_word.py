@@ -43,7 +43,7 @@ def oracle(layout: StateLayout, lock: int, tier: int, version: int,
         if edge.kind is K.EVICT:
             return (sw.EVICTED, 0, (version + 1) & wrap)
         if edge.kind is K.SET_TIER and not bad_tier:
-            return (sw.LOCKED, edge.tier, version)
+            return (sw.LOCKED, edge.tier, (version + 1) & wrap)
         return None
     if lock == sw.MARKED:
         if edge.kind is K.LOCK_EXCLUSIVE:
@@ -193,8 +193,8 @@ def test_version_bump_rules():
     assert layout.unpack(transition(layout, w, Edge.unlock_exclusive(dirty=False))) == (0, 1, 5)
     # evict bumps and clears the tier bits
     assert layout.unpack(transition(layout, w, Edge.evict())) == (sw.EVICTED, 0, 6)
-    # migration and fault-in keep the version
-    assert layout.unpack(transition(layout, w, Edge.set_tier(0))) == (sw.LOCKED, 0, 5)
+    # migration bumps the version; fault-in, which follows an evict, keeps it
+    assert layout.unpack(transition(layout, w, Edge.set_tier(0))) == (sw.LOCKED, 0, 6)
     ev = layout.pack(sw.EVICTED, 0, 5)
     assert layout.unpack(transition(layout, ev, Edge.fault_in(1))) == (sw.LOCKED, 1, 5)
 
