@@ -22,17 +22,32 @@ hopping right.  An overwrite descends optimistically and locks only the
 leaf, which is valid if the leaf still holds the key.  Other writes use
 top-down exclusive lock coupling with preemptive splits, so a parent
 always has room for the separator a child split posts into it.
-"""
+
+Descents decode each inner node once per page version.  The tree keeps one
+entry per inner node, `pid -> (stamp, separators, children)`, where the
+stamp is the low 56 bits of the page's state word: its tier and version.
+A descent's reader loads the word itself and returns the entry, without
+touching the page bytes, while the stamp still matches; otherwise it copies
+the page, and the copy is decoded and stored under its stamp only after
+the pool has validated the read.  This is sound because the reader loads
+its word between the pool's two loads, validation accepts only an
+unchanged version, and a tier never changes without a version bump, so a
+validated read's stamp is the stamp of the bytes it read.  Every write to
+a node ends with a dirty unlock, and every migration (SET_TIER) and
+eviction (EVICT) bumps the version too, so a stale decode never matches
+again.  Leaves are not cached."""
 
 from __future__ import annotations
 
 import struct
 import threading
+from bisect import bisect_right
 
 import numpy as np
 
 from .errors import ConfigError
 from .pool import BufferPool
+from .state_word import _LOW56
 
 LEAF = 1
 INNER = 2
@@ -105,6 +120,18 @@ def _inner_search(page: bytes, key: bytes) -> int:
     return lo
 
 
+def _decode_inner(page: bytes) -> tuple[list[bytes], list[int]]:
+    """(separators, children) of an inner node, for `bisect_right` routing:
+    child `bisect_right(separators, key)` covers `key`."""
+    _, n, leftmost = _HEAD.unpack_from(page)
+    seps: list[bytes] = []
+    children = [leftmost]
+    for klen, k, child in _INNER_CELL.iter_unpack(page[HDR:HDR + n * INNER_STRIDE]):
+        seps.append(k[:klen])
+        children.append(child)
+    return seps, children
+
+
 def _route(page: bytes, key: bytes) -> int:
     """Child pid covering `key` in an inner node."""
     return _child(page, _inner_search(page, key))
@@ -118,7 +145,7 @@ def _check_sizes(klen: int, vlen: int) -> None:
 
 
 def _snapshot(view: np.ndarray) -> bytes:
-    """The tree's only optimistic reader: parsing waits for validation."""
+    """A page copy for an optimistic reader: parsing waits for validation."""
     return view.tobytes()
 
 
@@ -138,6 +165,9 @@ class BTree:
         self._slots = pool.topology.slots
         self._alloc_lock = threading.Lock()
         self._next_pid = 1
+        # Decoded inner nodes, pid -> (stamp, separators, children); see
+        # the module docstring and `_leaf`.
+        self._inner: dict[int, tuple[int, list[bytes], list[int]]] = {}
         with pool.fix(self.root_pid, exclusive=True) as h:
             _HEAD.pack_into(h.data, 0, LEAF, 0, -1)
             h.mark_dirty()
@@ -153,22 +183,44 @@ class BTree:
     def _leaf(self, key: bytes) -> tuple[int, bytes]:
         """(pid, validated bytes) of the leaf whose range covers `key`.
 
+        Inner nodes route through the decode cache.  The reader loads the
+        page's state word and returns the cached entry, without reading the
+        page, while the entry's stamp (tier and version bits) matches;
+        otherwise it returns (stamp, snapshot), which is decoded and cached
+        only after `optimistic_read` has validated it.  A validated read's
+        stamp is the stamp of the bytes it read, and each write, migration
+        and eviction of a node bumps its version, so a stale entry is never
+        matched again (see the module docstring).
+
         A parent read before a split may route to a leaf whose upper keys
         have moved right; hop right along the sibling chain then.  Each step
         goes one level down or one leaf right and pages are never freed, so
         the walk ends."""
-        read = self.pool.optimistic_read
+        pool = self.pool
+        read = pool.optimistic_read
+        load = pool.state.load
+        cache = self._inner
         pid = self.root_pid
+
+        def reader(view):
+            stamp = load(pid) & _LOW56  # the tier and version bits
+            hit = cache.get(pid)
+            if hit is not None and hit[0] == stamp:
+                return hit
+            return stamp, _snapshot(view)
+
         while True:
-            page = read(pid, _snapshot)
-            if page[0] == INNER:
-                pid = _route(page, key)
-                continue
-            _, n, sib = _HEAD.unpack_from(page)
-            if n and sib >= 0 and key > _leaf_key(page, n - 1):
-                pid = sib
-                continue
-            return pid, page
+            got = read(pid, reader)
+            if len(got) == 2:  # (stamp, snapshot), not a cached entry
+                stamp, page = got
+                if page[0] != INNER:
+                    _, n, sib = _HEAD.unpack_from(page)
+                    if n and sib >= 0 and key > _leaf_key(page, n - 1):
+                        pid = sib
+                        continue
+                    return pid, page
+                got = cache[pid] = (stamp, *_decode_inner(page))
+            pid = got[2][bisect_right(got[1], key)]
 
     # -- lookup ----------------------------------------------------------
 

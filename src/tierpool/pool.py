@@ -179,11 +179,13 @@ class BufferPool:
                                    registry=self.registry)
         self.engine = MigrationEngine(self.backend, registry=self.registry)
         self.state = StateTable(topology.slots, self.layout, trace=trace)
+        self._slots = topology.slots
         # Residency and the clock live in the backend's frame pools.
         self.resident = self.backend.pools
         m = topology.n_memory_tiers
         self._hit_keys = tuple(f"hits_t{t}" for t in range(m))
         self._read_ns = tuple(t.read_latency_ns for t in topology.memory_tiers)
+        self._arenas = tuple(p.arena for p in self.backend.pools)
         self._set_tier_edges = tuple(Edge.set_tier(t) for t in range(m))
         self._fault_in_edges = tuple(Edge.fault_in(t) for t in range(m))
         # Per memory tier, remote pages accessed but not promoted, which the
@@ -215,7 +217,7 @@ class BufferPool:
 
     def fix(self, pid: int, exclusive: bool = True,
             rng: random.Random | None = None) -> PageHandle:
-        if not 0 <= pid < self.topology.slots:
+        if not 0 <= pid < self._slots:
             raise ConfigError(f"pid {pid} out of range")
         rng = rng or self.rng()
         deadline = time.monotonic() + self.fix_timeout_s
@@ -364,14 +366,20 @@ class BufferPool:
         page only after its last page left it by one of those edges.  So an
         unchanged version, with neither Locked nor Evicted at validation,
         means the placement was the page's own for the whole read.
+
+        reader_fn may load the page's state word itself.  If the read
+        validates, that word's tier and version bits (its low 56 bits) are
+        the validated ones, so they stamp the bytes the reader saw: the word
+        was loaded between the two loads the validation compares, and the
+        tier never changes without a version bump.
         """
-        if not 0 <= pid < self.topology.slots:
+        if not 0 <= pid < self._slots:
             raise ConfigError(f"pid {pid} out of range")
-        state, backend = self.state, self.backend
+        state, backend, arenas = self.state, self.backend, self._arenas
         attempts = 0
         while True:
             word = state.load(pid)
-            byte = self.layout.lock_byte(word)
+            byte = word >> 56
             if byte == sw.LOCKED or byte == sw.EVICTED or attempts >= 64:
                 h = self.fix(pid, exclusive=False, rng=rng)
                 try:
@@ -384,14 +392,16 @@ class BufferPool:
             token = backend.read_token(pid)
             if token >= 0:
                 tier = token >> _FRAME_SHIFT
-                value = reader_fn(backend.pools[tier].arena[token & _FRAME_MASK])
+                value = reader_fn(arenas[tier][token & _FRAME_MASK])
                 w1 = state.load(pid)
                 if w1 == word or self._unwritten(pid, word, w1):
                     sheet = self.registry.sheet()
                     sheet["optimistic_reads"] = sheet.get("optimistic_reads", 0) + 1
                     hits = self._hit_keys[tier]
                     sheet[hits] = sheet.get(hits, 0) + 1
-                    self._charge_access(tier)
+                    ns = self._read_ns[tier]
+                    if ns:
+                        backend.cost.charge(ns)
                     if tier != DRAM:
                         self._roll_rr(pid, tier, rng or self.rng())
                     return value

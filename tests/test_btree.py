@@ -2,17 +2,19 @@
 
 import collections
 import random
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from conftest import make_pool
+from conftest import assert_coherent, make_pool
 from tierpool import bench, btree
+from tierpool.backend import TierSpec, TierTopology
 from tierpool.btree import (_HEAD, _LEAF_CELL, HDR, INNER, KEY_MAX,
                             LEAF_STRIDE, VAL_MAX, BTree, _child)
 from tierpool.errors import ConfigError
-from tierpool.pool import MigrationPolicy
+from tierpool.pool import BufferPool, MigrationPolicy
 from tierpool.state_word import LOCKED, SHARED_MAX, SHARED_MIN
 
 
@@ -401,3 +403,160 @@ def test_lookup_parses_only_validated_snapshots(monkeypatch):
     assert writes == [torn, good]
     assert good in parsed
     assert torn not in parsed
+
+
+def _spy_decodes(monkeypatch) -> list[bytes]:
+    """Record every inner page the descent decodes."""
+    decode = btree._decode_inner
+    decoded = []
+
+    def spy(page):
+        decoded.append(page)
+        return decode(page)
+
+    monkeypatch.setattr(btree, "_decode_inner", spy)
+    return decoded
+
+
+def test_split_inner_node_is_decoded_again(monkeypatch):
+    """A cached decode is keyed by the page's tier and version, so a split
+    of a cached inner node forces a new decode, and descents route by the
+    new separators without hopping along the leaves."""
+    pool = big_pool()
+    t = BTree(pool)
+    keys = [keyf(i * 10) for i in range(200 * t.leaf_cap)]
+    t.bulk_load(keys, [b"v%d" % i for i in range(len(keys))])
+    for k in keys[::7]:                  # warm the cache
+        assert t.lookup(k) is not None
+    with pool.fix(t.root_pid, exclusive=False) as h:
+        root = h.data.tobytes()
+    pid = _child(root, 1)
+    assert pid in t._inner
+    with pool.fix(pid, exclusive=False) as h:
+        assert _HEAD.unpack_from(h.data.tobytes())[1] == t.inner_cap
+    decoded = _spy_decodes(monkeypatch)
+    lo = btree._inner_key(root, 0)       # the first key under `pid`
+    new = [lo + b".%d" % j for j in range(3 * t.leaf_cap)]
+    for k in new:
+        t.insert(k, b"new")
+    with pool.fix(pid, exclusive=False) as h:
+        after = h.data.tobytes()
+    assert _HEAD.unpack_from(after)[1] < t.inner_cap, "the node did not split"
+    assert after in decoded
+    reads = []
+    read = pool.optimistic_read
+
+    def counting(p, fn, *rest):
+        reads.append(p)
+        return read(p, fn, *rest)
+
+    monkeypatch.setattr(pool, "optimistic_read", counting)
+    depth = 3                            # root, inner node, leaf
+    for k in new:
+        reads.clear()
+        assert t.lookup(k) == b"new"
+        assert len(reads) == depth, (k, reads)
+    for i, k in enumerate(keys):
+        assert t.lookup(k) == b"v%d" % i
+
+
+def test_warm_descent_decodes_and_copies_no_inner_page(monkeypatch):
+    pool = make_pool(512, disk=1 << 13)  # holds the whole tree
+    t = BTree(pool)
+    keys = [keyf(i) for i in range(200 * t.leaf_cap)]
+    t.bulk_load(keys, [b"v%d" % i for i in range(len(keys))])
+    assert t.lookup(keys[0]) == b"v0"
+    under_first_child = (t.inner_cap + 1) * t.leaf_cap
+    decoded = _spy_decodes(monkeypatch)
+    snapshot = btree._snapshot
+    inner_copies = []
+
+    def spy(view):
+        page = snapshot(view)
+        if page[0] == INNER:
+            inner_copies.append(page)
+        return page
+
+    monkeypatch.setattr(btree, "_snapshot", spy)
+    for i in range(1, under_first_child, 5):
+        assert t.lookup(keys[i]) == b"v%d" % i
+    assert decoded == [] and inner_copies == []
+
+
+@pytest.mark.parametrize("frames", [(256, 512, 1024), (128, 256, 256, 512)])
+def test_n_tier_fuzz_with_cached_inner_nodes(frames):
+    """Mixed B-tree ops on three threads over three and four memory tiers,
+    with policies that migrate and evict inner nodes while their decodes
+    are cached.  Each thread owns every third key and checks it exactly;
+    the end state must match the union of the threads' oracles."""
+    topology = TierTopology(tuple(TierSpec(c) for c in frames),
+                            TierSpec(1 << 13), page_size_bytes=1024)
+    pool = BufferPool(topology, seed=3, fix_timeout_s=60.0,
+                      policy=MigrationPolicy(dr=0.5, rr=0.3, evict_batch=32))
+    t = BTree(pool)
+    stamps = collections.defaultdict(set)
+
+    class Recording(dict):
+        def __setitem__(self, pid, entry):
+            stamps[pid].add(entry[0])
+            super().__setitem__(pid, entry)
+
+    t._inner = Recording()
+    n_threads, base = 3, 3 * sum(frames)
+    keys = [keyf(i * 10) for i in range(base)]
+    t.bulk_load(keys, [k + b"/0" for k in keys], fill=t.leaf_cap - 1)
+    models = [{k: k + b"/0" for k in keys[tid::n_threads]}
+              for tid in range(n_threads)]
+    errors = []
+
+    def client(tid):
+        rnd = random.Random(tid)
+        model = models[tid]
+        mine = list(model)
+        try:
+            for step in range(2500):
+                op = rnd.random()
+                k = rnd.choice(mine)
+                if op < 0.45:
+                    assert t.lookup(k) == model[k], k
+                elif op < 0.65:
+                    v = k + b"/%d" % (step + 1)
+                    t.insert(k, v)
+                    model[k] = v
+                elif op < 0.9:
+                    k = keyf(rnd.randrange(base * 10)) + b".%d" % tid
+                    t.insert(k, k + b"/0")
+                    model[k] = k + b"/0"
+                    mine.append(k)
+                else:
+                    got = t.scan(k, 20)
+                    ks = [x for x, _ in got]
+                    assert ks[0] == k and ks == sorted(set(ks)), ks
+                    assert all(v.startswith(x + b"/") for x, v in got), got
+                    assert [p for p in got if p[0] in model] == sorted(
+                        (x, v) for x, v in model.items() if k <= x <= ks[-1])
+        except Exception as e:           # pragma: no cover
+            errors.append(e)
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(5e-5)          # interleave reads with writes
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads), "a client hung"
+    assert not errors, errors
+    assert_coherent(pool)
+    oracle = {k: v for m in models for k, v in m.items()}
+    assert t.scan(b"", len(oracle) + 1) == sorted(oracle.items())
+    st = pool.stats()
+    assert st.promotions and st.demotions and st.evictions_to_disk
+    assert all(st.occupancy), st.occupancy
+    # Inner nodes were decoded again after moving between tiers.
+    tiers = {pid: {s >> pool.layout.tier_shift for s in ss}
+             for pid, ss in stamps.items()}
+    assert sum(len(ts) > 1 for ts in tiers.values()) >= 5, tiers
