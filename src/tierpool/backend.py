@@ -1,22 +1,23 @@
 """Simulated n-tier physical substrate: frame pools, page table, and disk.
 
-The backend owns the truth about where every page physically lives.  Memory
-tiers are byte arenas carved into page frames; the disk is one in-memory
-page array, row i holding page i.  The page-slot space is sized by the disk
-tier, and a page's slot index never changes; only the frame backing it
-moves.
+The backend owns the truth about where every page physically lives.  The
+memory tiers share one byte arena of page frames, tier t owning the static
+rows [base_t, base_t + capacity_t); the disk is one in-memory page array,
+row i holding page i.  The page-slot space is sized by the disk tier, and a
+page's slot index never changes; only the frame backing it moves.
 
-Callers must hold a page's exclusive state-word lock before calling any
-operation that moves or drops its frame; accessors are plain reads.  The
-backend keeps no record of moves: the page's state-word version is what
-tells an optimistic reader that its placement changed.
+Callers must hold a page's exclusive state-word lock to move or drop its
+frame; accessors are plain reads.  The state word alone records a page's
+tier, and its version tells an optimistic reader that the page moved.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -27,10 +28,6 @@ from .stats import StatsRegistry
 
 # Destination marker for "the disk tier" in pool/backend APIs.
 DISK = -1
-
-# A placement packs tier << 40 | frame; see TierBackend.place.
-_FRAME_SHIFT = 40
-_FRAME_MASK = (1 << _FRAME_SHIFT) - 1
 
 
 @dataclass(frozen=True)
@@ -77,11 +74,11 @@ class TierTopology:
 
 
 class FramePool:
-    """One tier's byte arena, its free frames, and the page bound to each frame.
+    """One tier's arena rows, its free frames, and the page in each frame.
 
-    `owner[frame]` holds the pid bound to the frame, or -1 for a free frame.
-    It is the tier's only record of residency: membership, occupancy and
-    the clock's sweep order all read it.
+    `owner[row - base]` holds the pid bound to that row, or -1 for a free
+    frame.  It is the tier's only record of residency: membership,
+    occupancy and the clock's sweep order all read it.
 
     The free list is FIFO.  The clock walks frames, so the order in which
     freed frames are reused decides where a newly bound page sits relative
@@ -90,9 +87,9 @@ class FramePool:
     lookup.
     """
 
-    def __init__(self, capacity_pages: int, page_size: int):
+    def __init__(self, base: int, capacity_pages: int):
+        self.base = base
         self.capacity = capacity_pages
-        self.arena = np.zeros((capacity_pages, page_size), dtype=np.uint8)
         self.owner = [-1] * capacity_pages
         self._free = deque(range(capacity_pages))
         self._hand = 0
@@ -102,18 +99,18 @@ class FramePool:
         return self.capacity - len(self._free)
 
     def insert(self, pid: int) -> int | None:
-        """Bind `pid` to a free frame; returns the frame, None when full."""
+        """Bind `pid` to a free frame; returns its row, None when full."""
         with self._lock:
             if not self._free:
                 return None
             frame = self._free.popleft()
             self.owner[frame] = pid
-            return frame
+            return self.base + frame
 
-    def remove(self, frame: int) -> None:
+    def remove(self, row: int) -> None:
         with self._lock:
-            self.owner[frame] = -1
-            self._free.append(frame)
+            self.owner[row - self.base] = -1
+            self._free.append(row - self.base)
 
     @property
     def n_free(self) -> int:
@@ -154,7 +151,7 @@ class FramePool:
 
 
 class TierBackend:
-    """Page table plus per-tier frame pools plus the simulated disk."""
+    """Page table, the memory arena, one frame pool per tier, and the disk."""
 
     def __init__(self, topology: TierTopology, cost_model: CostModel | None = None,
                  registry: StatsRegistry | None = None):
@@ -162,11 +159,14 @@ class TierBackend:
         self.cost = cost_model or CostModel()
         self.registry = registry or StatsRegistry()
         self.page_size = topology.page_size_bytes
-        self.pools = [FramePool(t.capacity_pages, self.page_size)
-                      for t in topology.memory_tiers]
+        caps = [t.capacity_pages for t in topology.memory_tiers]
+        # The first row of each tier, then the arena's row count.
+        self._bases = [0, *accumulate(caps)]
+        self.pools = [FramePool(b, c) for b, c in zip(self._bases, caps)]
+        self.arena = np.zeros((self._bases[-1], self.page_size), dtype=np.uint8)
         self.disk = np.zeros((topology.slots, self.page_size), dtype=np.uint8)
-        # Packed placement per slot: -1 on disk, else tier << 40 | frame.
-        # One int, so an optimistic reader's token is one load.
+        # Arena row per slot, -1 on disk.  Any row indexes the arena, so an
+        # optimistic reader's token is one load and always a valid row.
         self.place = [-1] * topology.slots
 
     # -- placement primitives (caller holds the page exclusively) --------
@@ -176,17 +176,16 @@ class TierBackend:
         self._check_memory_tier(target)
         if self.place[pid] != -1:
             raise IllegalState(f"page {pid} is already memory-resident")
-        pool = self.pools[target]
-        frame = pool.insert(pid)
-        if frame is None:
+        row = self.pools[target].insert(pid)
+        if row is None:
             raise TierFull(f"tier {target} has no free frame")
         sheet = self.registry.sheet()
         with self.registry.timed("t_disk_ns"):
-            pool.arena[frame] = self.disk[pid]
+            self.arena[row] = self.disk[pid]
             sheet["disk_reads"] = sheet.get("disk_reads", 0) + 1
             sheet["bytes_copied"] = sheet.get("bytes_copied", 0) + self.page_size
             self.cost.charge(self.topology.disk.read_latency_ns)
-        self.place[pid] = target << _FRAME_SHIFT | frame
+        self.place[pid] = row
 
     def write_back(self, pid: int) -> None:
         """Copy the page's frame to disk, free the frame, mark it disk-resident."""
@@ -195,58 +194,59 @@ class TierBackend:
 
     def release_frame(self, pid: int) -> None:
         """Drop a clean page's frame without writing; disk already has the bytes."""
-        tier, frame = self._resolve(pid)
+        row = self._row(pid)
         self.place[pid] = -1
-        self.pools[tier].remove(frame)
+        self.pools[self._tier_of(row)].remove(row)
 
     def flush_page(self, pid: int) -> None:
         """Copy a dirty page to disk but keep it cached (shutdown/flush path)."""
-        tier, frame = self._resolve(pid)
+        row = self._row(pid)
         sheet = self.registry.sheet()
         with self.registry.timed("t_disk_ns"):
-            self.disk[pid] = self.pools[tier].arena[frame]
+            self.disk[pid] = self.arena[row]
             sheet["disk_writes"] = sheet.get("disk_writes", 0) + 1
             sheet["bytes_copied"] = sheet.get("bytes_copied", 0) + self.page_size
             self.cost.charge(self.topology.disk.write_latency_ns)
 
-    def retarget_frame(self, pid: int, target: int) -> None:
+    def retarget_frame(self, pid: int, target: int) -> int:
         """Move a memory-resident page to a frame in `target`, slot unchanged.
 
-        This is the single-page primitive the migration engine batches.  A
-        retarget to the page's current tier is a successful no-op.
+        This is the single-page primitive the migration engine batches; it
+        returns the page's old tier, and a retarget to it succeeds as a no-op.
         """
         self._check_memory_tier(target)
-        src_tier, src_frame = self._resolve(pid)
+        src = self._row(pid)
+        src_tier = self._tier_of(src)
         if src_tier == target:
-            return
-        dst_pool = self.pools[target]
-        dst_frame = dst_pool.insert(pid)
-        if dst_frame is None:
+            return src_tier
+        dst = self.pools[target].insert(pid)
+        if dst is None:
             raise TierFull(f"tier {target} has no free frame")
-        dst_pool.arena[dst_frame] = self.pools[src_tier].arena[src_frame]
+        self.arena[dst] = self.arena[src]
         sheet = self.registry.sheet()
         sheet["bytes_copied"] = sheet.get("bytes_copied", 0) + self.page_size
-        self.place[pid] = target << _FRAME_SHIFT | dst_frame
-        self.pools[src_tier].remove(src_frame)
+        self.place[pid] = dst
+        self.pools[src_tier].remove(src)
+        return src_tier
 
     # -- accessors -------------------------------------------------------
 
     def placement_of(self, pid: int) -> tuple[int, int]:
-        """The page's (tier, frame), or (DISK, -1) for a page on disk."""
-        packed = self.place[pid]
-        if packed < 0:
+        """The page's (tier, frame within the tier), or (DISK, -1) on disk."""
+        row = self.place[pid]
+        if row < 0:
             return DISK, -1
-        return packed >> _FRAME_SHIFT, packed & _FRAME_MASK
+        tier = self._tier_of(row)
+        return tier, row - self._bases[tier]
 
     def page_view(self, pid: int) -> np.ndarray:
         """View of the page's current frame bytes; caller must hold the page."""
-        tier, frame = self._resolve(pid)
-        return self.pools[tier].arena[frame]
+        return self.arena[self._row(pid)]
 
     def read_token(self, pid: int) -> int:
-        """The packed placement tier << 40 | frame, or -1 on disk, for an
-        optimistic read; the state word, not the token, tells whether the
-        page moved while the read ran."""
+        """The page's arena row, or -1 on disk, for an optimistic read; the
+        state word, not the token, tells whether the page moved while the
+        read ran."""
         return self.place[pid]
 
     def free_frames(self, tier: int) -> int:
@@ -260,11 +260,14 @@ class TierBackend:
 
     # -- internals -------------------------------------------------------
 
-    def _resolve(self, pid: int) -> tuple[int, int]:
-        packed = self.place[pid]
-        if packed < 0:
+    def _row(self, pid: int) -> int:
+        row = self.place[pid]
+        if row < 0:
             raise IllegalState(f"page {pid} is on disk")
-        return packed >> _FRAME_SHIFT, packed & _FRAME_MASK
+        return row
+
+    def _tier_of(self, row: int) -> int:
+        return bisect_right(self._bases, row) - 1
 
     def _check_memory_tier(self, tier: int) -> None:
         if not 0 <= tier < len(self.pools):

@@ -40,7 +40,6 @@ again.  Leaves are not cached."""
 from __future__ import annotations
 
 import struct
-import threading
 from bisect import bisect_right
 
 import numpy as np
@@ -156,29 +155,18 @@ def _put_bytes(view: np.ndarray, off: int, data: bytes) -> None:
 class BTree:
     def __init__(self, pool: BufferPool):
         self.pool = pool
-        self.root_pid = 0
         ps = pool.topology.page_size_bytes
         self.leaf_cap = (ps - HDR) // LEAF_STRIDE
         self.inner_cap = (ps - HDR) // INNER_STRIDE
         if self.leaf_cap < 2 or self.inner_cap < 3:
             raise ConfigError(f"page size {ps} too small for the cell layout")
-        self._slots = pool.topology.slots
-        self._alloc_lock = threading.Lock()
-        self._next_pid = 1
+        self.root_pid = pool.allocate_pid()
         # Decoded inner nodes, pid -> (stamp, separators, children); see
         # the module docstring and `_leaf`.
         self._inner: dict[int, tuple[int, list[bytes], list[int]]] = {}
         with pool.fix(self.root_pid, exclusive=True) as h:
             _HEAD.pack_into(h.data, 0, LEAF, 0, -1)
             h.mark_dirty()
-
-    def _alloc_pid(self) -> int:
-        with self._alloc_lock:
-            pid = self._next_pid
-            self._next_pid += 1
-        if pid >= self._slots:
-            raise ConfigError("btree ran out of page slots")
-        return pid
 
     def _leaf(self, key: bytes) -> tuple[int, bytes]:
         """(pid, validated bytes) of the leaf whose range covers `key`.
@@ -301,7 +289,7 @@ class BTree:
     def _split_child(self, hp, hc, child_pid: int) -> None:
         """Split the full child `hc` under its locked parent `hp`, then
         release both child halves.  The caller re-routes from the parent."""
-        right_pid = self._alloc_pid()
+        right_pid = self.pool.allocate_pid()
         hr = self.pool.fix(right_pid, exclusive=True)
         sep = self._split_node(hc.data, hr.data, right_pid)
         hc.mark_dirty()
@@ -335,8 +323,8 @@ class BTree:
     def _split_root(self, hroot) -> None:
         """Copy both halves of the root out to fresh pages; the root page
         itself becomes a two-child inner node, so its PID never changes."""
-        left_pid = self._alloc_pid()
-        right_pid = self._alloc_pid()
+        left_pid = self.pool.allocate_pid()
+        right_pid = self.pool.allocate_pid()
         with self.pool.fix(left_pid, exclusive=True) as hl, \
                 self.pool.fix(right_pid, exclusive=True) as hr:
             root = hroot.data
@@ -399,7 +387,7 @@ class BTree:
         pids: list[int] = []
         seps: list[bytes] = []
         for start in range(0, len(keys), fill):
-            pids.append(self._alloc_pid())
+            pids.append(self.pool.allocate_pid())
             seps.append(bytes(keys[start]))
         for idx, start in enumerate(range(0, len(keys), fill)):
             ks, vs = keys[start:start + fill], values[start:start + fill]
@@ -421,7 +409,7 @@ class BTree:
             up_seps: list[bytes] = []
             fan = self.inner_cap + 1  # children per inner node
             for start in range(0, len(pids), fan):
-                node_pid = self._alloc_pid()
+                node_pid = self.pool.allocate_pid()
                 group = pids[start:start + fan]
                 with pool.fix(node_pid, exclusive=True) as h:
                     view = h.data

@@ -253,8 +253,7 @@ class MigrationEngine:
                 return ERR_BUSY
             # Sync path: bounded retry, no backoff.
         try:
-            src, _ = self.backend.placement_of(pid)
-            self.backend.retarget_frame(pid, target)
+            src = self.backend.retarget_frame(pid, target)
             if src != target:
                 self.cost.charge(self.cost.page_copy_ns(src, target, self.backend.page_size))
             return target

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import state_word as sw
-from .backend import _FRAME_MASK, _FRAME_SHIFT, DISK, TierBackend, TierTopology
+from .backend import DISK, TierBackend, TierTopology
 from .cost_model import CostModel
 from .errors import ConfigError, IllegalState, PoolTimeout, TierFull
 from .migration import MigrationEngine, MigrationRequest
@@ -185,7 +185,6 @@ class BufferPool:
         m = topology.n_memory_tiers
         self._hit_keys = tuple(f"hits_t{t}" for t in range(m))
         self._read_ns = tuple(t.read_latency_ns for t in topology.memory_tiers)
-        self._arenas = tuple(p.arena for p in self.backend.pools)
         self._set_tier_edges = tuple(Edge.set_tier(t) for t in range(m))
         self._fault_in_edges = tuple(Edge.fault_in(t) for t in range(m))
         # Per memory tier, remote pages accessed but not promoted, which the
@@ -198,9 +197,10 @@ class BufferPool:
         self._mig_lock = threading.RLock()
         self._tls = threading.local()
         self._thread_seq = 0
-        self._seq_lock = threading.Lock()
+        self._next_pid = 0
+        self._seq_lock = threading.Lock()  # guards both counters
 
-    # -- rng plumbing ----------------------------------------------------
+    # -- rng and page-slot plumbing -------------------------------------
 
     def rng(self) -> random.Random:
         """This thread's policy RNG, seeded from (pool seed, thread ordinal)."""
@@ -212,6 +212,14 @@ class BufferPool:
             r = random.Random(self.seed * 0x9E3779B97F4A7C15 + ordinal)
             self._tls.rng = r
         return r
+
+    def allocate_pid(self) -> int:
+        """A page slot that no earlier call handed out, for a new page."""
+        with self._seq_lock:
+            if self._next_pid >= self._slots:
+                raise ConfigError("the pool ran out of page slots")
+            self._next_pid += 1
+            return self._next_pid - 1
 
     # -- fix / unfix -----------------------------------------------------
 
@@ -360,12 +368,12 @@ class BufferPool:
         remote-tier page counts as a hit there and rolls the rr promotion
         policy, just like a pessimistic fix would.
 
-        The placement is loaded once, between the two word loads.  A page's
-        frame changes only while its word is Locked, each such change ends
-        with a version bump (SET_TIER or EVICT), and a frame goes to another
+        The arena row is loaded once, between the two word loads.  A page's
+        row changes only while its word is Locked, each such change ends
+        with a version bump (SET_TIER or EVICT), and a row goes to another
         page only after its last page left it by one of those edges.  So an
         unchanged version, with neither Locked nor Evicted at validation,
-        means the placement was the page's own for the whole read.
+        means the row, like the word's tier, was the page's own all along.
 
         reader_fn may load the page's state word itself.  If the read
         validates, that word's tier and version bits (its low 56 bits) are
@@ -375,7 +383,7 @@ class BufferPool:
         """
         if not 0 <= pid < self._slots:
             raise ConfigError(f"pid {pid} out of range")
-        state, backend, arenas = self.state, self.backend, self._arenas
+        state, backend = self.state, self.backend
         attempts = 0
         while True:
             word = state.load(pid)
@@ -391,10 +399,10 @@ class BufferPool:
                 state.try_edge(pid, _UNMARK, word)
             token = backend.read_token(pid)
             if token >= 0:
-                tier = token >> _FRAME_SHIFT
-                value = reader_fn(arenas[tier][token & _FRAME_MASK])
+                value = reader_fn(backend.arena[token])
                 w1 = state.load(pid)
                 if w1 == word or self._unwritten(pid, word, w1):
+                    tier = self.layout.tier(word)
                     sheet = self.registry.sheet()
                     sheet["optimistic_reads"] = sheet.get("optimistic_reads", 0) + 1
                     hits = self._hit_keys[tier]

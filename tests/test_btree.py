@@ -48,10 +48,10 @@ def test_overwrite_updates_without_allocating():
     t = BTree(big_pool())
     for i in range(t.leaf_cap):          # exactly one full leaf
         t.insert(keyf(i), b"old")
-    before = t._next_pid
+    before = t.pool._next_pid
     for i in range(t.leaf_cap):
         t.insert(keyf(i), b"new%d" % i)
-    assert t._next_pid == before, "overwrite of a full leaf must not split"
+    assert t.pool._next_pid == before, "overwrite of a full leaf must not split"
     for i in range(t.leaf_cap):
         assert t.lookup(keyf(i)) == b"new%d" % i
 
@@ -67,14 +67,39 @@ def test_overwrites_under_full_inner_nodes_allocate_nothing():
     assert root[0] == INNER
     with pool.fix(_child(root, 0), exclusive=False) as h:
         assert _HEAD.unpack_from(h.data.tobytes())[1] == t.inner_cap
-    before = t._next_pid
+    before = t.pool._next_pid
     rnd = random.Random(5)
     picked = {rnd.randrange(cfg.n_keys) for _ in range(500)}
     for i in picked:
         t.insert(blob[8 * i:8 * i + 8], b"new%d" % i)
-    assert t._next_pid == before
+    assert t.pool._next_pid == before
     for i in picked:
         assert t.lookup(blob[8 * i:8 * i + 8]) == b"new%d" % i
+
+
+def test_trees_sharing_a_pool_keep_their_own_keys():
+    """Trees on one pool take their roots and split pages from the pool's
+    one pid counter, so no tree writes into another's pages."""
+    pool = big_pool()
+    trees = [BTree(pool) for _ in range(3)]
+    models = [{} for _ in trees]
+    rnd = random.Random(11)
+    for step in range(6000):
+        i = rnd.randrange(len(trees))
+        t, model = trees[i], models[i]
+        k = keyf(rnd.randrange(2000))  # splits each root twice
+        op = rnd.random()
+        if op < 0.6:                     # a new key or an overwrite
+            model[k] = b"t%d-%d" % (i, step)
+            t.insert(k, model[k])
+        elif op < 0.9:
+            assert t.lookup(k) == model.get(k)
+        else:
+            assert t.scan(k, 30) == oracle_scan(model, k, 30)
+    for t, model in zip(trees, models):
+        assert t.scan(b"", len(model) + 1) == oracle_scan(model, b"", len(model))
+    assert len({t.root_pid for t in trees}) == len(trees)
+    assert_coherent(pool)
 
 
 def test_empty_and_max_sized_values():
@@ -168,10 +193,10 @@ def test_bulk_load_partial_fill_leaves_room():
     t = BTree(big_pool())
     keys = [keyf(i) for i in range(200)]
     t.bulk_load(keys, [b"v"] * 200, fill=t.leaf_cap - 1)
-    before = t._next_pid
+    before = t.pool._next_pid
     for i in range(200):
         t.insert(keyf(i), b"w")          # overwrites, still no splits
-    assert t._next_pid == before
+    assert t.pool._next_pid == before
     t.insert(b"k00000000x", b"fresh")    # one genuinely new key
     assert t.lookup(b"k00000000x") == b"fresh"
 
@@ -192,24 +217,24 @@ def test_bulk_load_refuses_a_tree_that_is_not_empty():
     loaded = BTree(big_pool())
     loaded.bulk_load([keyf(i) for i in range(200)], [b"v"] * 200)
     for tree in (t, loaded):
-        before = tree._next_pid
+        before = tree.pool._next_pid
         with pytest.raises(ConfigError):
             tree.bulk_load([b"b", b"c"], [b"2", b"3"])
-        assert tree._next_pid == before
+        assert tree.pool._next_pid == before
     assert t.lookup(b"a") == b"1"
     assert loaded.lookup(keyf(0)) == b"v"
 
 
 def test_bulk_load_checks_sizes_before_allocating():
     t = BTree(big_pool())
-    before = t._next_pid
+    before = t.pool._next_pid
     with pytest.raises(ConfigError):
         t.bulk_load([b"a", b"x" * 70, b"z"], [b"1", b"2", b"3"])
     with pytest.raises(ConfigError):
         t.bulk_load([b"a", b"b"], [b"1", b"v" * (VAL_MAX + 1)])
     with pytest.raises(ConfigError):
         t.bulk_load([b"", b"b"], [b"1", b"2"])
-    assert t._next_pid == before
+    assert t.pool._next_pid == before
     keys = [keyf(i) for i in range(100)]
     t.bulk_load(keys, [b"v%d" % i for i in range(100)])
     assert all(t.lookup(k) == b"v%d" % i for i, k in enumerate(keys))

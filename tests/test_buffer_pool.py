@@ -11,9 +11,9 @@ import pytest
 import tierpool.state_word as sw
 from conftest import ScriptedRng, assert_coherent, make_pool
 from test_state_word import all_edges
-from tierpool.backend import DISK
+from tierpool.backend import DISK, TierSpec, TierTopology
 from tierpool.errors import ConfigError, IllegalState, PoolTimeout
-from tierpool.pool import DRAM, MigrationPolicy
+from tierpool.pool import DRAM, BufferPool, MigrationPolicy
 
 
 def test_fault_then_hit():
@@ -663,6 +663,30 @@ def test_optimistic_read_detects_a_rebind_of_the_same_frame():
     assert len(calls) == 2
     assert pool.stats().optimistic_retries == 1
     assert_coherent(pool)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_optimistic_read_counts_the_hit_in_the_words_tier(m):
+    """With 2 tier bits, a read of a page in tier t counts a hit in tier t
+    and, at rr=0, keeps the page as a promotion candidate of tier t."""
+    topology = TierTopology(tuple(TierSpec(2) for _ in range(m)), TierSpec(16),
+                            page_size_bytes=512)
+    pool = BufferPool(topology, policy=MigrationPolicy(rr=0.0))
+    state = pool.state
+    for t in range(m):
+        with pool.fix(t) as h:  # faults into DRAM
+            h.data[0] = 10 + t
+            h.mark_dirty()
+        assert state.try_edge(t, sw.Edge.lock_exclusive())
+        pool.backend.retarget_frame(t, t)
+        assert state.try_edge(t, sw.Edge.set_tier(t))
+        assert state.try_edge(t, sw.Edge.unlock_exclusive(False))
+        before = pool.stats().hits
+        assert pool.optimistic_read(t, lambda v: int(v[0])) == 10 + t
+        counted = [b - a for a, b in zip(before, pool.stats().hits)]
+        assert counted == [int(i == t) for i in range(m)]
+    assert [list(c) for c in pool._candidates] == [[]] + [[t] for t in range(1, m)]
+    assert pool.stats().optimistic_retries == 0
 
 
 def test_optimistic_read_rejects_out_of_range_pid():

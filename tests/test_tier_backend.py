@@ -119,7 +119,7 @@ def test_utilization_math():
 # -- owner array and clock sweep ----------------------------------------
 
 def bound_pool(capacity: int, pids) -> FramePool:
-    fp = FramePool(capacity, 512)
+    fp = FramePool(0, capacity)
     for pid in pids:
         fp.insert(pid)
     return fp
